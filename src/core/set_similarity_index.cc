@@ -19,22 +19,42 @@ namespace ssr {
 
 namespace {
 
-std::vector<SetId> SortedDifference(const std::vector<SetId>& a,
-                                    const std::vector<SetId>& b) {
-  std::vector<SetId> out;
-  out.reserve(a.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
+// a \= b for sorted, duplicate-free sids, in place.
+void SubtractSorted(std::vector<SetId>* a, const std::vector<SetId>& b) {
+  std::size_t keep = 0, j = 0;
+  for (std::size_t i = 0; i < a->size(); ++i) {
+    const SetId x = (*a)[i];
+    while (j < b.size() && b[j] < x) ++j;
+    if (j < b.size() && b[j] == x) continue;
+    (*a)[keep++] = x;
+  }
+  a->resize(keep);
 }
 
-std::vector<SetId> SortedUnion(const std::vector<SetId>& a,
-                               const std::vector<SetId>& b) {
-  std::vector<SetId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
+// a ∪= b for sorted, duplicate-free sids, in place: merged back to front
+// into a's grown tail, then the (adjacent) common sids deduplicated.
+void UniteSorted(std::vector<SetId>* a, const std::vector<SetId>& b) {
+  std::size_t i = a->size(), j = b.size(), k = i + j;
+  a->resize(k);
+  while (j > 0) {
+    if (i > 0 && (*a)[i - 1] > b[j - 1]) {
+      (*a)[--k] = (*a)[--i];
+    } else {
+      (*a)[--k] = b[--j];
+    }
+  }
+  a->erase(std::unique(a->begin(), a->end()), a->end());
+}
+
+// The verification length bound: J(q, s) <= min(|q|,|s|) / max(|q|,|s|),
+// with sim(∅, ∅) = 1. Jaccard computes |q∩s| / |q∪s| in double from exact
+// integers, |q∩s| <= min and |q∪s| >= max, and correctly rounded division
+// is monotone in both operands — so this bound, computed with the same
+// double division, is >= the Jaccard verify would compute, bit for bit.
+double LengthBound(std::size_t q, std::size_t s) {
+  if (q == 0 && s == 0) return 1.0;
+  return static_cast<double>(std::min(q, s)) /
+         static_cast<double>(std::max(q, s));
 }
 
 IndexOptions ResolveIndexMetricsScope(IndexOptions options) {
@@ -92,6 +112,8 @@ SetSimilarityIndex::SetSimilarityIndex(SetStore& store, IndexLayout layout,
   bucket_pages_ = registry.GetCounter("ssr_index_bucket_pages_total", scope);
   sids_scanned_ = registry.GetCounter("ssr_index_sids_scanned_total", scope);
   sets_fetched_ = registry.GetCounter("ssr_index_sets_fetched_total", scope);
+  length_pruned_ =
+      registry.GetCounter("ssr_index_length_pruned_total", scope);
   results_ = registry.GetCounter("ssr_index_results_total", scope);
   probe_failures_ =
       registry.GetCounter("ssr_index_probe_failures_total", scope);
@@ -108,20 +130,20 @@ SetSimilarityIndex::SetSimilarityIndex(SetStore& store, IndexLayout layout,
                                         scope, obs::LatencyBoundsMicros());
 }
 
-void SetSimilarityIndex::FreeSignatures() {
+void SetSimilarityIndex::FreeEntries() {
   // Singly-owned teardown (destructor / move-assignment target): no reader
-  // can hold a pin into this index anymore, so the live signatures are
-  // freed inline. Versions retired earlier through the epoch manager are
-  // its responsibility, not ours.
+  // can hold a pin into this index anymore, so the live entries are freed
+  // inline. Versions retired earlier through the epoch manager are its
+  // responsibility, not ours.
   const std::size_t cap = capacity_.load(std::memory_order_relaxed);
   for (std::size_t sid = 0; sid < cap; ++sid) {
-    delete signatures_.Get(sid);
+    delete entries_.Get(sid);
   }
   capacity_.store(0, std::memory_order_relaxed);
   num_live_.store(0, std::memory_order_relaxed);
 }
 
-SetSimilarityIndex::~SetSimilarityIndex() { FreeSignatures(); }
+SetSimilarityIndex::~SetSimilarityIndex() { FreeEntries(); }
 
 SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
     : store_(other.store_),
@@ -129,7 +151,7 @@ SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
       options_(std::move(other.options_)),
       embedding_(std::move(other.embedding_)),
       fis_(std::move(other.fis_)),
-      signatures_(std::move(other.signatures_)),
+      entries_(std::move(other.entries_)),
       capacity_(other.capacity_.load(std::memory_order_relaxed)),
       num_live_(other.num_live_.load(std::memory_order_relaxed)),
       epoch_manager_(other.epoch_manager_),
@@ -141,6 +163,7 @@ SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
       bucket_pages_(other.bucket_pages_),
       sids_scanned_(other.sids_scanned_),
       sets_fetched_(other.sets_fetched_),
+      length_pruned_(other.length_pruned_),
       results_(other.results_),
       probe_failures_(other.probe_failures_),
       fetch_failures_(other.fetch_failures_),
@@ -156,13 +179,13 @@ SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
 SetSimilarityIndex& SetSimilarityIndex::operator=(
     SetSimilarityIndex&& other) noexcept {
   if (this != &other) {
-    FreeSignatures();
+    FreeEntries();
     store_ = other.store_;
     layout_ = std::move(other.layout_);
     options_ = std::move(other.options_);
     embedding_ = std::move(other.embedding_);
     fis_ = std::move(other.fis_);
-    signatures_ = std::move(other.signatures_);
+    entries_ = std::move(other.entries_);
     capacity_.store(other.capacity_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     num_live_.store(other.num_live_.load(std::memory_order_relaxed),
@@ -176,6 +199,7 @@ SetSimilarityIndex& SetSimilarityIndex::operator=(
     bucket_pages_ = other.bucket_pages_;
     sids_scanned_ = other.sids_scanned_;
     sets_fetched_ = other.sets_fetched_;
+    length_pruned_ = other.length_pruned_;
     results_ = other.results_;
     probe_failures_ = other.probe_failures_;
     fetch_failures_ = other.fetch_failures_;
@@ -193,7 +217,7 @@ SetSimilarityIndex& SetSimilarityIndex::operator=(
 void SetSimilarityIndex::EnableConcurrentWrites(exec::EpochManager* manager) {
   if (manager == nullptr) manager = &exec::EpochManager::Default();
   epoch_manager_ = manager;
-  signatures_.SetEpochManager(manager);
+  entries_.SetEpochManager(manager);
   for (auto& fi : fis_) {
     if (fi.sfi != nullptr) {
       fi.sfi->SetEpochManager(manager);
@@ -235,7 +259,7 @@ Status SetSimilarityIndex::BuildFilterIndices() {
   if (n > 0) {
     // Pre-grow the slot array serially so the parallel sign phase below
     // only stores into disjoint, already-allocated slots.
-    signatures_.EnsureCapacity(max_sid + 1);
+    entries_.EnsureCapacity(max_sid + 1);
     if (max_sid + 1 > capacity_.load(std::memory_order_relaxed)) {
       capacity_.store(max_sid + 1, std::memory_order_relaxed);
     }
@@ -262,7 +286,9 @@ Status SetSimilarityIndex::BuildFilterIndices() {
           block.resize(hi - lo);
           embedding_->SignBatch(&sets[lo], hi - lo, block.data());
           for (std::size_t i = lo; i < hi; ++i) {
-            signatures_.Set(sids[i], new Signature(std::move(block[i - lo])));
+            entries_.Set(sids[i],
+                         new Entry{std::move(block[i - lo]),
+                                   static_cast<std::uint32_t>(sets[i].size())});
           }
         });
     const exec::JobStats& job = pool.last_job_stats();
@@ -287,7 +313,7 @@ Status SetSimilarityIndex::BuildFilterIndices() {
   }
   // Resolve each sid's signature pointer once, not per (table, sid) pair.
   std::vector<const Signature*> sig_of(n);
-  for (std::size_t i = 0; i < n; ++i) sig_of[i] = signatures_.Get(sids[i]);
+  for (std::size_t i = 0; i < n; ++i) sig_of[i] = &entries_.Get(sids[i])->sig;
   {
     obs::TraceSpan span("build/insert");
     span.Tag("tables", static_cast<std::uint64_t>(tables.size()));
@@ -320,7 +346,7 @@ Status SetSimilarityIndex::BuildFilterIndices() {
       fi.dfi->NoteBulkEntries(n);
     }
   }
-  // Liveness is the non-null signature slot, already published in phase 1.
+  // Liveness is the non-null entry slot, already published in phase 1.
   num_live_.fetch_add(n, std::memory_order_relaxed);
   live_sets_->Set(
       static_cast<double>(num_live_.load(std::memory_order_relaxed)));
@@ -377,7 +403,7 @@ Status SetSimilarityIndex::Insert(SetId sid, const ElementSet& set) {
     return Status::InvalidArgument("set must be sorted and duplicate-free");
   }
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (signatures_.Get(sid) != nullptr) {
+  if (entries_.Get(sid) != nullptr) {
     return Status::AlreadyExists("sid already indexed");
   }
   // Write-ahead: the mutation reaches the log before any in-memory state
@@ -386,34 +412,38 @@ Status SetSimilarityIndex::Insert(SetId sid, const ElementSet& set) {
   if (wal_ != nullptr) {
     SSR_RETURN_IF_ERROR(wal_->AppendInsert(sid, set).status());
   }
-  return InsertSignatureLocked(sid, embedding_->Sign(set));
+  return InsertSignatureLocked(sid, embedding_->Sign(set),
+                               static_cast<std::uint32_t>(set.size()));
 }
 
-Status SetSimilarityIndex::InsertSignature(SetId sid, Signature sig) {
+Status SetSimilarityIndex::InsertSignature(SetId sid, Signature sig,
+                                           std::uint32_t set_size) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  return InsertSignatureLocked(sid, std::move(sig));
+  return InsertSignatureLocked(sid, std::move(sig), set_size);
 }
 
-Status SetSimilarityIndex::InsertSignatureLocked(SetId sid, Signature sig) {
-  if (signatures_.Get(sid) != nullptr) {
+Status SetSimilarityIndex::InsertSignatureLocked(SetId sid, Signature sig,
+                                                 std::uint32_t set_size) {
+  if (entries_.Get(sid) != nullptr) {
     return Status::AlreadyExists("sid already indexed");
   }
   if (sig.size() != embedding_->hasher().params().num_hashes) {
     return Status::InvalidArgument("signature dimension mismatch");
   }
-  auto* owned = new Signature(std::move(sig));
-  // Tables first, then the signature slot: once the slot is non-null the
-  // sid is live, and every table already holds it — a reader that sees it
-  // live can probe it, and one that saw a table entry early just verifies
-  // an extra candidate against the store.
+  auto* owned = new Entry{std::move(sig), set_size};
+  // Tables first, then the entry slot: once the slot is non-null the sid
+  // is live, and every table already holds it — a reader that sees it live
+  // can probe it, and one that saw a table entry early just verifies an
+  // extra candidate against the store. Signature and size publish in the
+  // same store, so no reader sees a live sid without its size.
   for (auto& fi : fis_) {
     if (fi.sfi != nullptr) {
-      fi.sfi->Insert(sid, *owned);
+      fi.sfi->Insert(sid, owned->sig);
     } else {
-      fi.dfi->Insert(sid, *owned);
+      fi.dfi->Insert(sid, owned->sig);
     }
   }
-  signatures_.Set(sid, owned);
+  entries_.Set(sid, owned);
   if (sid + std::size_t{1} > capacity_.load(std::memory_order_relaxed)) {
     capacity_.store(sid + std::size_t{1}, std::memory_order_relaxed);
   }
@@ -425,8 +455,8 @@ Status SetSimilarityIndex::InsertSignatureLocked(SetId sid, Signature sig) {
 
 Status SetSimilarityIndex::Erase(SetId sid) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  const Signature* sig = signatures_.Get(sid);
-  if (sig == nullptr) {
+  const Entry* entry = entries_.Get(sid);
+  if (entry == nullptr) {
     return Status::NotFound("sid not indexed");
   }
   if (wal_ != nullptr) {
@@ -434,18 +464,18 @@ Status SetSimilarityIndex::Erase(SetId sid) {
   }
   for (auto& fi : fis_) {
     if (fi.sfi != nullptr) {
-      fi.sfi->Erase(sid, *sig);
+      fi.sfi->Erase(sid, entry->sig);
     } else {
-      fi.dfi->Erase(sid, *sig);
+      fi.dfi->Erase(sid, entry->sig);
     }
   }
-  signatures_.Set(sid, nullptr);
-  // A pinned reader may still dereference the signature it loaded before
-  // the swap; defer the free to its retire epoch.
+  entries_.Set(sid, nullptr);
+  // A pinned reader may still dereference the entry it loaded before the
+  // swap; defer the free to its retire epoch.
   if (epoch_manager_ != nullptr) {
-    epoch_manager_->Retire([sig] { delete sig; });
+    epoch_manager_->Retire([entry] { delete entry; });
   } else {
-    delete sig;
+    delete entry;
   }
   num_live_.fetch_sub(1, std::memory_order_relaxed);
   live_sets_->Set(
@@ -456,9 +486,17 @@ Status SetSimilarityIndex::Erase(SetId sid) {
 std::optional<Signature> SetSimilarityIndex::signature(SetId sid) const {
   std::optional<exec::EpochGuard> guard;
   if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
-  const Signature* sig = signatures_.Get(sid);
-  if (sig == nullptr) return std::nullopt;
-  return *sig;
+  const Entry* entry = entries_.Get(sid);
+  if (entry == nullptr) return std::nullopt;
+  return entry->sig;
+}
+
+std::optional<std::uint32_t> SetSimilarityIndex::set_size(SetId sid) const {
+  std::optional<exec::EpochGuard> guard;
+  if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
+  const Entry* entry = entries_.Get(sid);
+  if (entry == nullptr) return std::nullopt;
+  return entry->set_size;
 }
 
 bool SetSimilarityIndex::HasDfi() const {
@@ -468,16 +506,15 @@ bool SetSimilarityIndex::HasDfi() const {
   return false;
 }
 
-std::vector<SetId> SetSimilarityIndex::LiveSids() const {
-  std::vector<SetId> out;
-  out.reserve(num_live_.load(std::memory_order_relaxed));
+void SetSimilarityIndex::LiveSids(std::vector<SetId>* out) const {
+  out->clear();
+  out->reserve(num_live_.load(std::memory_order_relaxed));
   const std::size_t cap = capacity_.load(std::memory_order_relaxed);
   for (std::size_t sid = 0; sid < cap; ++sid) {
-    if (signatures_.Get(sid) != nullptr) {
-      out.push_back(static_cast<SetId>(sid));
+    if (entries_.Get(sid) != nullptr) {
+      out->push_back(static_cast<SetId>(sid));
     }
   }
-  return out;
 }
 
 Status SetSimilarityIndex::ProbeFi(std::size_t fi_idx, const Signature& query,
@@ -540,40 +577,42 @@ Status SetSimilarityIndex::ProbeFi(std::size_t fi_idx, const Signature& query,
   return status;
 }
 
-std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
-    const Signature& query, double sigma1, double sigma2, QueryStats* stats,
-    bool* additive_loss, IoCostModel& io,
-    std::vector<SetId>* scratch) const {
-  // All probes share one scratch vector (caller-provided when available):
-  // the union is built in place with warm capacity and copied out once per
-  // probe, eliminating the per-table growth reallocations.
-  std::vector<SetId> local_scratch;
-  std::vector<SetId>* probe_out =
-      scratch != nullptr ? scratch : &local_scratch;
+void SetSimilarityIndex::ComputeCandidates(const Signature& query,
+                                           double sigma1, double sigma2,
+                                           QueryStats* stats,
+                                           bool* additive_loss,
+                                           IoCostModel& io,
+                                           std::vector<SetId>* out) const {
+  // Each probe writes its union straight into its operand's own buffer:
+  // the minuend of a §4.3 set difference into `*out` (the mixed plan's
+  // right half into `right`), the subtrahend into `subtrahend`. Difference
+  // and union then run in place, so no probe result is ever copied. The
+  // two operand buffers are per-thread and stay warm across queries.
+  thread_local std::vector<SetId> subtrahend;
+  thread_local std::vector<SetId> right;
   // A failed or partial *additive* probe can lose true candidates: report
   // it through *additive_loss and contribute a best-effort (possibly
   // empty) set. A failed *subtractive* probe subtracts nothing — the
   // result stays a sound superset and verification still yields exact
   // answers. Both paths tag the query degraded.
-  const auto additive = [&](std::size_t idx) -> std::vector<SetId> {
+  const auto probe = [&](std::size_t idx, bool additive,
+                         std::vector<SetId>* into) {
     bool partial = false;
-    Status s = ProbeFi(idx, query, &partial, stats, io, probe_out);
+    Status s = ProbeFi(idx, query, &partial, stats, io, into);
     if (!s.ok() || partial) {
       stats->degraded = true;
-      *additive_loss = true;
-      if (!s.ok()) return {};
+      if (additive) *additive_loss = true;
+      if (!s.ok()) into->clear();
     }
-    return *probe_out;
   };
-  const auto subtractive = [&](std::size_t idx) -> std::vector<SetId> {
-    bool partial = false;
-    Status s = ProbeFi(idx, query, &partial, stats, io, probe_out);
-    if (!s.ok() || partial) {
-      stats->degraded = true;
-      if (!s.ok()) return {};
-    }
-    return *probe_out;
+  const auto additive = [&](std::size_t idx, std::vector<SetId>* into) {
+    probe(idx, /*additive=*/true, into);
   };
+  const auto subtract = [&](std::size_t idx, std::vector<SetId>* from) {
+    probe(idx, /*additive=*/false, &subtrahend);
+    SubtractSorted(from, subtrahend);
+  };
+  out->clear();
 
   // Virtual enclosing-point selection over [0 | layout points | 1].
   // lo = highest point <= σ1 (virtual 0 if none);
@@ -600,7 +639,8 @@ std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
 
   if (lo_virtual && up_virtual) {
     stats->plan = QueryPlanKind::kFullCollection;
-    return LiveSids();
+    LiveSids(out);
+    return;
   }
 
   const auto kind_of = [&](std::size_t idx) { return fis_[idx].point.kind; };
@@ -609,11 +649,11 @@ std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
   // DissimVector): A = Dissim(up) \ Dissim(lo).
   if (!up_virtual && kind_of(up_idx) == FilterKind::kDissimilarity) {
     stats->plan = QueryPlanKind::kDfiPair;
-    std::vector<SetId> up_set = additive(up_idx);
-    if (lo_virtual) return up_set;
+    additive(up_idx, out);
+    if (lo_virtual) return;
     assert(kind_of(lo_idx) == FilterKind::kDissimilarity);
-    std::vector<SetId> lo_set = subtractive(lo_idx);
-    return SortedDifference(up_set, lo_set);
+    subtract(lo_idx, out);
+    return;
   }
 
   // Case 2: both enclosing points are SFIs (or up is virtual 1, an empty
@@ -629,10 +669,13 @@ std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
                     kind_of(up_idx) == FilterKind::kSimilarity &&
                     !HasDfi())) {
     stats->plan = QueryPlanKind::kSfiPair;
-    std::vector<SetId> lo_set = lo_is_sfi ? additive(lo_idx) : LiveSids();
-    if (up_virtual) return lo_set;
-    std::vector<SetId> up_set = subtractive(up_idx);
-    return SortedDifference(lo_set, up_set);
+    if (lo_is_sfi) {
+      additive(lo_idx, out);
+    } else {
+      LiveSids(out);
+    }
+    if (!up_virtual) subtract(up_idx, out);
+    return;
   }
 
   // Case 3: lo on the DFI side (a real DFI or virtual 0 with DFIs present),
@@ -650,29 +693,21 @@ std::vector<SetId> SetSimilarityIndex::ComputeCandidates(
   if (sfi_mid == kVirtual) {
     // DFI-only layout with the range extending above every DFI point: the
     // only sound superset is everything not excluded below lo.
-    std::vector<SetId> all = LiveSids();
-    if (lo_dfi_side) {
-      return SortedDifference(all, subtractive(lo_idx));
-    }
-    return all;
+    LiveSids(out);
+    if (lo_dfi_side) subtract(lo_idx, out);
+    return;
   }
 
-  std::vector<SetId> left;
   if (dfi_mid != kVirtual) {
-    left = additive(dfi_mid);
-    if (lo_dfi_side && lo_idx != dfi_mid) {
-      left = SortedDifference(left, subtractive(lo_idx));
-    }
+    additive(dfi_mid, out);
+    if (lo_dfi_side && lo_idx != dfi_mid) subtract(lo_idx, out);
   }
-  std::vector<SetId> right;
-  if (sfi_mid != kVirtual) {
-    right = additive(sfi_mid);
-    if (!up_virtual && up_idx != sfi_mid &&
-        kind_of(up_idx) == FilterKind::kSimilarity) {
-      right = SortedDifference(right, subtractive(up_idx));
-    }
+  additive(sfi_mid, &right);
+  if (!up_virtual && up_idx != sfi_mid &&
+      kind_of(up_idx) == FilterKind::kSimilarity) {
+    subtract(up_idx, &right);
   }
-  return SortedUnion(left, right);
+  UniteSorted(out, right);
 }
 
 namespace {
@@ -723,10 +758,10 @@ Status SetSimilarityIndex::SaveTo(std::ostream& out) const {
   sigs.WriteU64(cap);
   sigs.WriteU64(num_live_.load(std::memory_order_relaxed));
   for (std::size_t sid = 0; sid < cap; ++sid) {
-    const Signature* sig = signatures_.Get(sid);
-    if (sig == nullptr) continue;
+    const Entry* entry = entries_.Get(sid);
+    if (entry == nullptr) continue;
     sigs.WriteU32(static_cast<std::uint32_t>(sid));
-    sigs.WriteVector(sig->values());
+    sigs.WriteVector(entry->sig.values());
   }
   SSR_RETURN_IF_ERROR(snapshot.EndSection());
 
@@ -863,14 +898,20 @@ Result<SetSimilarityIndex> SetSimilarityIndex::Load(
         // produce candidates that can never verify.
         continue;
       }
-      SSR_RETURN_IF_ERROR(
-          index.InsertSignature(sid, Signature(std::move(values))));
+      // |s| is not in the snapshot (its bytes stay format-compatible): read
+      // it from the record header. A record the store cannot size is kept
+      // unprunable, so verification still meets it and reports whatever
+      // the fetch finds.
+      const auto set_size = store.RecordSize(sid);
+      SSR_RETURN_IF_ERROR(index.InsertSignature(
+          sid, Signature(std::move(values)),
+          set_size.ok() ? set_size.value() : kUnknownSetSize));
     }
     if (index.capacity_.load(std::memory_order_relaxed) < capacity) {
       // Restore the saved logical capacity even past the highest live sid:
       // it round-trips through SaveTo and keeps sid allocation consistent
       // across save/load cycles with trailing erased sids.
-      index.signatures_.EnsureCapacity(static_cast<std::size_t>(capacity));
+      index.entries_.EnsureCapacity(static_cast<std::size_t>(capacity));
       index.capacity_.store(static_cast<std::size_t>(capacity),
                             std::memory_order_relaxed);
     }
@@ -921,8 +962,8 @@ Result<QueryResult> SetSimilarityIndex::QueryCandidates(
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    result.sids = ComputeCandidates(sig, sigma1, sigma2, &result.stats,
-                                    &additive_loss, io, nullptr);
+    ComputeCandidates(sig, sigma1, sigma2, &result.stats, &additive_loss, io,
+                      &result.sids);
   }
   if (result.stats.degraded &&
       options_.degrade == DegradeMode::kFailFast) {
@@ -935,7 +976,7 @@ Result<QueryResult> SetSimilarityIndex::QueryCandidates(
     // false positives).
     obs::TraceSpan fallback("degraded_scan");
     seqscan_fallbacks_->Increment();
-    result.sids = LiveSids();
+    LiveSids(&result.sids);
   }
   if (result.stats.degraded) degraded_queries_->Increment();
   result.stats.candidates = result.sids.size();
@@ -998,12 +1039,14 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     obs::TraceSpan embed("embed");
     sig = embedding_->Sign(query);
   }
-  std::vector<SetId> candidates;
+  std::vector<SetId> local_candidates;
+  std::vector<SetId>& candidates =
+      scratch != nullptr ? *scratch : local_candidates;
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    candidates = ComputeCandidates(sig, sigma1, sigma2, &result.stats,
-                                   &additive_loss, io, scratch);
+    ComputeCandidates(sig, sigma1, sigma2, &result.stats, &additive_loss, io,
+                      &candidates);
   }
   result.stats.candidates = candidates.size();
   candidates_hist_->Observe(static_cast<double>(candidates.size()));
@@ -1017,6 +1060,8 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   bool need_full_scan =
       additive_loss && options_.degrade == DegradeMode::kSequentialFallback;
   constexpr double kEps = 1e-12;
+  const double lower = sigma1 - kEps;
+  const double upper = sigma2 + kEps;
 
   if (!need_full_scan &&
       result.stats.plan == QueryPlanKind::kFullCollection && sigma1 <= 0.0 &&
@@ -1024,21 +1069,36 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     // [0, 1] covers every set by definition; no verification needed. Any
     // narrower range that still fell through to the full-collection plan
     // (no enclosing filter points) must be verified like any other.
-    result.sids = std::move(candidates);
+    result.sids.assign(candidates.begin(), candidates.end());
   } else if (!need_full_scan) {
-    // Verification: fetch each candidate and keep exact-similarity matches.
+    // Verification. The length bound drops candidates whose size alone
+    // puts them below σ1 — from the entry slot, before any store access.
+    // It compares against the same `lower` with the same double division
+    // Jaccard uses, so it drops exactly candidates verify would reject
+    // (LengthBound). A sid erased since probing has no entry: it is not
+    // pruned, and the fetch below reports whatever the store holds.
+    // Survivors are verified against the record bytes in place.
     obs::TraceSpan verify("verify");
+    bool fail_fast = false;
     for (SetId sid : candidates) {
-      auto set = view != nullptr ? view->Get(sid) : store_->Get(sid);
-      if (!set.ok()) {
-        if (set.status().IsNotFound()) continue;  // deleted concurrently
+      const Entry* entry = entries_.Get(sid);
+      if (entry != nullptr && entry->set_size != kUnknownSetSize &&
+          LengthBound(query.size(), entry->set_size) < lower) {
+        result.stats.length_pruned += 1;
+        continue;
+      }
+      auto sim = view != nullptr ? view->SimilarityTo(sid, query)
+                                 : store_->SimilarityTo(sid, query);
+      if (!sim.ok()) {
+        if (sim.status().IsNotFound()) continue;  // deleted concurrently
         // A real fetch failure (transient fault that exhausted retries, or
         // data loss): never silently drop the candidate.
         result.stats.fetch_failures += 1;
         fetch_failures_->Increment();
         result.stats.degraded = true;
         if (options_.degrade == DegradeMode::kFailFast) {
-          return Status::Unavailable("candidate fetch failed (fail-fast)");
+          fail_fast = true;
+          break;
         }
         if (options_.degrade == DegradeMode::kSequentialFallback) {
           need_full_scan = true;
@@ -1047,14 +1107,19 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
         continue;  // kPartialResults: skip, answer stays tagged degraded
       }
       result.stats.sets_fetched += 1;
-      sets_fetched_->Increment();
-      const double sim = Jaccard(set.value(), query);
-      if (sim >= sigma1 - kEps && sim <= sigma2 + kEps) {
+      if (sim.value() >= lower && sim.value() <= upper) {
         result.sids.push_back(sid);
       }
     }
+    sets_fetched_->Add(result.stats.sets_fetched);
+    length_pruned_->Add(result.stats.length_pruned);
     verify.Tag("fetched",
                static_cast<std::uint64_t>(result.stats.sets_fetched));
+    verify.Tag("length_pruned",
+               static_cast<std::uint64_t>(result.stats.length_pruned));
+    if (fail_fast) {
+      return Status::Unavailable("candidate fetch failed (fail-fast)");
+    }
   }
 
   if (need_full_scan) {
@@ -1066,7 +1131,7 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     result.sids.clear();
     const auto verify_all = [&](SetId sid, const ElementSet& set) {
       const double sim = Jaccard(set, query);
-      if (sim >= sigma1 - kEps && sim <= sigma2 + kEps) {
+      if (sim >= lower && sim <= upper) {
         result.sids.push_back(sid);
       }
       return true;
@@ -1123,10 +1188,10 @@ std::uint64_t SetSimilarityIndex::ContentDigest() const {
   h = HashCombine(h, num_live_.load(std::memory_order_relaxed));
   const std::size_t cap = capacity_.load(std::memory_order_relaxed);
   for (std::size_t sid = 0; sid < cap; ++sid) {
-    const Signature* sig = signatures_.Get(sid);
-    if (sig == nullptr) continue;
+    const Entry* entry = entries_.Get(sid);
+    if (entry == nullptr) continue;
     h = HashCombine(h, static_cast<SetId>(sid));
-    for (std::uint16_t v : sig->values()) {
+    for (std::uint16_t v : entry->sig.values()) {
       h = HashCombine(h, v);
     }
   }

@@ -100,22 +100,24 @@ enum class QueryPlanKind {
 const char* QueryPlanKindName(QueryPlanKind kind);
 
 /// Per-query execution statistics. The counting fields (bucket_accesses,
-/// bucket_pages, sids_scanned, sets_fetched) are accumulated directly on
-/// the query path, and the same amounts are added to the index's registry
-/// instruments — so QueryStats and the exporters agree, and concurrent
-/// queries (the batch executor) never see each other's counts. The io
-/// field is the delta of whichever I/O model served the query: the store's
-/// (serial Query) or the worker's private ReadView (QueryThrough).
+/// bucket_pages, sids_scanned, sets_fetched, length_pruned) are accumulated
+/// directly on the query path, and the same amounts are added to the
+/// index's registry instruments — so QueryStats and the exporters agree,
+/// and concurrent queries (the batch executor) never see each other's
+/// counts. The io field is the delta of whichever I/O model served the
+/// query: the store's (serial Query) or the worker's private ReadView
+/// (QueryThrough).
 struct QueryStats {
   QueryPlanKind plan = QueryPlanKind::kSfiPair;
   double lo_point = 0.0;  // enclosing layout point below σ1 (0 = virtual)
   double up_point = 1.0;  // enclosing layout point above σ2 (1 = virtual)
-  std::size_t candidates = 0;       // |A| before verification
+  std::size_t candidates = 0;       // |A|, the filter-index output
   std::size_t results = 0;          // answer size after verification
   std::size_t bucket_accesses = 0;  // hash-table probes (l per FI probed)
   std::size_t bucket_pages = 0;     // pages those probes cost
   std::size_t sids_scanned = 0;     // bucket entries read before dedup
   std::size_t sets_fetched = 0;     // candidate sets fetched for verification
+  std::size_t length_pruned = 0;    // candidates the length bound dropped
   IoStats io;                       // store I/O delta for this query
   double io_seconds = 0.0;          // simulated I/O time
   double cpu_seconds = 0.0;         // measured CPU time
@@ -181,9 +183,14 @@ class SetSimilarityIndex {
 
   /// Answers (q, [σ1, σ2]): probes the enclosing filter indices, applies
   /// the Section 4.3 set algebra, verifies candidates against the store.
-  /// Requires 0 <= σ1 <= σ2 <= 1. Const: the only state a query touches is
-  /// registry instruments (relaxed atomics) and the store's buffer pool —
-  /// which is why *concurrent* queries must use QueryThrough instead.
+  /// Verification first drops every candidate whose size alone rules it
+  /// out — J(q, s) <= min(|q|,|s|) / max(|q|,|s|) < σ1 — without touching
+  /// the store (lossless; counted in QueryStats::length_pruned), then
+  /// computes the exact Jaccard of the rest against the record bytes in
+  /// place (SetStore::SimilarityTo). Requires 0 <= σ1 <= σ2 <= 1. Const:
+  /// the only state a query touches is registry instruments (relaxed
+  /// atomics) and the store's buffer pool — which is why *concurrent*
+  /// queries must use QueryThrough instead.
   Result<QueryResult> Query(const ElementSet& query, double sigma1,
                             double sigma2) const;
 
@@ -198,10 +205,9 @@ class SetSimilarityIndex {
   /// of threads may call this concurrently. Without EnableConcurrentWrites
   /// the index must not be mutated during reads; with it, Insert/Erase may
   /// run concurrently (readers pin an epoch and observe consistent
-  /// copy-on-write snapshots). `scratch` (optional) is the probe-union
-  /// reuse buffer — pass the same vector across a worker's queries to
-  /// eliminate per-probe allocation churn. Answers are identical to
-  /// Query's.
+  /// copy-on-write snapshots). `scratch` (optional) is the candidate
+  /// buffer — pass the same vector across a worker's queries so the probe
+  /// unions are built in warm capacity. Answers are identical to Query's.
   Result<QueryResult> QueryThrough(SetStore::ReadView& view,
                                    const ElementSet& query, double sigma1,
                                    double sigma2,
@@ -278,6 +284,13 @@ class SetSimilarityIndex {
   /// The signature stored for `sid` (for tests; empty optional if dead).
   std::optional<Signature> signature(SetId sid) const;
 
+  /// The set size |s| kept beside `sid`'s signature for the verification
+  /// length bound (for tests; empty optional if dead). kUnknownSetSize
+  /// means the size could not be read at load time; such a sid is never
+  /// length-pruned.
+  std::optional<std::uint32_t> set_size(SetId sid) const;
+  static constexpr std::uint32_t kUnknownSetSize = 0xffffffffu;
+
   /// Persists the index (options, layout, signatures) as a checksummed v2
   /// snapshot (storage/snapshot.h). The SetStore is persisted separately
   /// (SetStore::SaveTo); Load attaches the deserialized index to `store`,
@@ -321,12 +334,21 @@ class SetSimilarityIndex {
   /// count. Fills build_stats_.
   Status BuildFilterIndices();
 
-  /// Registers a precomputed signature under `sid` (shared by Insert and
-  /// Load). Takes the writer lock.
-  Status InsertSignature(SetId sid, Signature sig);
+  /// A live sid's index entry: its signature and its set size |s|. Both
+  /// are published together through one atomic slot, so a reader that
+  /// sees the sid live also sees its size.
+  struct Entry {
+    Signature sig;
+    std::uint32_t set_size = kUnknownSetSize;
+  };
+
+  /// Registers a precomputed signature and set size under `sid` (shared by
+  /// Insert and Load). Takes the writer lock.
+  Status InsertSignature(SetId sid, Signature sig, std::uint32_t set_size);
 
   /// InsertSignature body; caller holds writer_mu_.
-  Status InsertSignatureLocked(SetId sid, Signature sig);
+  Status InsertSignatureLocked(SetId sid, Signature sig,
+                               std::uint32_t set_size);
 
   /// Union of the probed buckets for the FI at index `fi_idx`, written into
   /// `*out` (cleared first; reuse one vector across probes to avoid
@@ -351,39 +373,39 @@ class SetSimilarityIndex {
   /// accumulated I/O delta.
   void FinishStats(const Stopwatch& watch, QueryStats* stats) const;
 
-  /// All currently live sids, sorted.
-  std::vector<SetId> LiveSids() const;
+  /// All currently live sids, sorted, into `*out` (cleared first).
+  void LiveSids(std::vector<SetId>* out) const;
 
   /// True iff the layout contains at least one DFI.
   bool HasDfi() const;
 
-  /// Computes the candidate set A for [σ1, σ2] per Section 4.3. Probe
-  /// failures degrade soundly: a failed/partial *subtractive* probe skips
-  /// its subtraction (the result stays a superset, still exact after
-  /// verification); a failed/partial *additive* probe may lose true
-  /// candidates, which is reported via `*additive_loss` so the caller can
-  /// apply the configured DegradeMode. Both paths tag stats->degraded.
-  std::vector<SetId> ComputeCandidates(const Signature& query, double sigma1,
-                                       double sigma2, QueryStats* stats,
-                                       bool* additive_loss, IoCostModel& io,
-                                       std::vector<SetId>* scratch) const;
+  /// Computes the candidate set A for [σ1, σ2] per Section 4.3 into
+  /// `*out` (cleared first). Probe failures degrade soundly: a
+  /// failed/partial *subtractive* probe skips its subtraction (the result
+  /// stays a superset, still exact after verification); a failed/partial
+  /// *additive* probe may lose true candidates, which is reported via
+  /// `*additive_loss` so the caller can apply the configured DegradeMode.
+  /// Both paths tag stats->degraded.
+  void ComputeCandidates(const Signature& query, double sigma1, double sigma2,
+                         QueryStats* stats, bool* additive_loss,
+                         IoCostModel& io, std::vector<SetId>* out) const;
 
-  /// Deletes every live signature slot and resets the logical capacity
-  /// (shared by the destructor and move-assignment).
-  void FreeSignatures();
+  /// Deletes every live entry and resets the logical capacity (shared by
+  /// the destructor and move-assignment).
+  void FreeEntries();
 
   SetStore* store_;  // not owned
   IndexLayout layout_;
   IndexOptions options_;
   std::unique_ptr<Embedding> embedding_;
   std::vector<BuiltFi> fis_;
-  // Signature per sid, heap-allocated and published through an atomic slot
-  // (nullptr = dead/never-seen). In live-mutability mode a replaced or
-  // erased signature is retired through epoch_manager_ so pinned readers
-  // finish against the version they observed. capacity_ is the logical
-  // high-water mark (max sid + 1 ever registered) — readers iterate
-  // [0, capacity_) and rely on Get() returning nullptr past the end.
-  exec::AtomicSlotArray<const Signature*> signatures_{nullptr};
+  // Entry per sid, heap-allocated and published through an atomic slot
+  // (nullptr = dead/never-seen). In live-mutability mode an erased entry
+  // is retired through epoch_manager_ so pinned readers finish against the
+  // version they observed. capacity_ is the logical high-water mark (max
+  // sid + 1 ever registered) — readers iterate [0, capacity_) and rely on
+  // Get() returning nullptr past the end.
+  exec::AtomicSlotArray<const Entry*> entries_{nullptr};
   std::atomic<std::size_t> capacity_{0};
   std::atomic<std::size_t> num_live_{0};
   // Serializes Insert/Erase (and the WAL append that precedes each apply).
@@ -400,6 +422,7 @@ class SetSimilarityIndex {
   obs::Counter* bucket_pages_;     // ssr_index_bucket_pages_total
   obs::Counter* sids_scanned_;     // ssr_index_sids_scanned_total
   obs::Counter* sets_fetched_;     // ssr_index_sets_fetched_total
+  obs::Counter* length_pruned_;    // ssr_index_length_pruned_total
   obs::Counter* results_;          // ssr_index_results_total
   obs::Counter* probe_failures_;   // ssr_index_probe_failures_total
   obs::Counter* fetch_failures_;   // ssr_index_fetch_failures_total

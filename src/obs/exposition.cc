@@ -51,6 +51,8 @@ const MetricHelpEntry kHelpTable[] = {
      "Candidate sets examined per query before verification."},
     {"ssr_index_fetch_failures_total",
      "Candidate set fetches that failed during verification."},
+    {"ssr_index_length_pruned_total",
+     "Candidates dropped by the verification length bound, never fetched."},
     {"ssr_index_live_sets", "Sets currently indexed."},
     {"ssr_index_probe_failures_total", "Index probes that failed."},
     {"ssr_index_queries_total", "Similarity queries served by the index."},

@@ -390,6 +390,7 @@ void ShardedSetSimilarityIndex::GatherShardAnswer(
   total.bucket_pages += stats.bucket_pages;
   total.sids_scanned += stats.sids_scanned;
   total.sets_fetched += stats.sets_fetched;
+  total.length_pruned += stats.length_pruned;
   total.io += stats.io;
   total.io_seconds += stats.io_seconds;
   total.cpu_seconds += stats.cpu_seconds;

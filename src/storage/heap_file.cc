@@ -84,11 +84,28 @@ Result<RecordLocator> HeapFile::Append(SetId sid, const ElementSet& set) {
   return loc;
 }
 
-Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
-                                  std::vector<PageId>* pages_touched) const {
+Result<ElementSet> HeapFile::Read(const RecordLocator& locator,
+                                  SetId* sid_out) const {
+  std::vector<std::uint8_t> scratch;
+  auto record = View(locator, &scratch);
+  if (!record.ok()) return record.status();
+  if (sid_out != nullptr) *sid_out = record->sid;
+  return record->Decode();
+}
+
+ElementSet RecordView::Decode() const {
+  ElementSet set(count);
+  if (count > 0) std::memcpy(set.data(), elements, 8 * count);
+  return set;
+}
+
+Result<RecordView> HeapFile::View(const RecordLocator& locator,
+                                  std::vector<std::uint8_t>* scratch) const {
   if (!locator.valid() || locator.page >= pages_.size()) {
     return Status::InvalidArgument("record locator out of range");
   }
+  RecordView view;
+  view.first_page = locator.page;
   if (!locator.is_spanned()) {
     if (is_quarantined(locator.page)) {
       return Status::DataLoss("record page quarantined by recovery");
@@ -101,20 +118,16 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
     if (locator.slot >= slot_count) {
       return Status::NotFound("slot out of range");
     }
-    if (pages_touched != nullptr) pages_touched->push_back(locator.page);
     const std::uint16_t offset =
         p.ReadU16(kPageSize - 2 * (static_cast<std::size_t>(locator.slot) + 1));
-    const SetId sid = p.ReadU32(offset);
-    const std::uint32_t count = p.ReadU32(offset + 4);
-    if (offset + RecordBytes(count) > kPageSize) {
+    view.sid = p.ReadU32(offset);
+    view.count = p.ReadU32(offset + 4);
+    if (offset + RecordBytes(view.count) > kPageSize) {
       return Status::Corruption("record overruns page");
     }
-    ElementSet set(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      set[i] = p.ReadU64(offset + 8 + 8 * i);
-    }
-    if (sid_out != nullptr) *sid_out = sid;
-    return set;
+    view.elements = p.data() + offset + 8;
+    view.num_pages = 1;
+    return view;
   }
   // Spanned record.
   if (is_quarantined(locator.page)) {
@@ -124,9 +137,9 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
     return Status::Corruption("spanned locator points to slotted page");
   }
   const Page& first = pages_[locator.page];
-  const SetId sid = first.ReadU32(0);
-  const std::uint32_t count = first.ReadU32(4);
-  const std::size_t bytes = RecordBytes(count);
+  view.sid = first.ReadU32(0);
+  view.count = first.ReadU32(4);
+  const std::size_t bytes = RecordBytes(view.count);
   const std::size_t num_span_pages = (bytes + kPageSize - 1) / kPageSize;
   if (locator.page + num_span_pages > pages_.size()) {
     return Status::Corruption("spanned record overruns file");
@@ -136,20 +149,19 @@ Result<ElementSet> HeapFile::Read(const RecordLocator& locator, SetId* sid_out,
       return Status::DataLoss("spanned record crosses quarantined page");
     }
   }
-  std::vector<std::uint8_t> buf(bytes);
+  view.num_pages = static_cast<std::uint32_t>(num_span_pages);
+  if (scratch == nullptr) return view;
+  scratch->resize(bytes);
   std::size_t read = 0;
   for (std::size_t i = 0; i < num_span_pages; ++i) {
     const PageId pid = locator.page + static_cast<PageId>(i);
-    if (pages_touched != nullptr) pages_touched->push_back(pid);
     const std::size_t chunk =
         bytes - read < kPageSize ? bytes - read : kPageSize;
-    pages_[pid].ReadBytes(0, buf.data() + read, chunk);
+    pages_[pid].ReadBytes(0, scratch->data() + read, chunk);
     read += chunk;
   }
-  ElementSet set(count);
-  std::memcpy(set.data(), buf.data() + 8, 8 * count);
-  if (sid_out != nullptr) *sid_out = sid;
-  return set;
+  view.elements = scratch->data() + 8;
+  return view;
 }
 
 namespace {
@@ -301,7 +313,7 @@ Result<HeapFile> HeapFile::LoadFrom(std::istream& in,
     if (any_quarantined) {
       for (const RecordLocator& loc : file.record_dir_) {
         if (!loc.valid() || loc.page >= file.pages_.size()) continue;
-        if (file.Read(loc, nullptr, nullptr).ok()) continue;
+        if (file.Read(loc, nullptr).ok()) continue;
         ++r.records_quarantined;
       }
     }
@@ -316,7 +328,7 @@ void HeapFile::Scan(const std::function<bool(SetId, const ElementSet&,
     const {
   for (const RecordLocator& loc : record_dir_) {
     SetId sid = kInvalidSetId;
-    auto result = Read(loc, &sid, nullptr);
+    auto result = Read(loc, &sid);
     if (!result.ok()) continue;  // skip corrupt entries defensively
     if (!visitor(sid, result.value(), loc)) return;
   }

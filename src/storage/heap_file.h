@@ -33,6 +33,21 @@ struct RecordLocator {
   bool operator==(const RecordLocator&) const = default;
 };
 
+/// A record located in place: its header and where its element bytes are.
+/// `elements` points at `count` native-order u64s (any alignment) on the
+/// record's page, or — for a spanned record — in the caller's scratch
+/// buffer. It is null for a spanned record viewed without scratch.
+struct RecordView {
+  SetId sid = kInvalidSetId;
+  std::uint32_t count = 0;
+  const std::uint8_t* elements = nullptr;
+  PageId first_page = kInvalidPageId;
+  std::uint32_t num_pages = 0;  // pages the record occupies, from first_page
+
+  /// The elements, copied out (requires `elements` unless count is 0).
+  ElementSet Decode() const;
+};
+
 /// Append-only heap file (deletes are handled above, in SetStore, by
 /// unlinking from the sid index; space is not reclaimed, as in a classic
 /// heap file without vacuum).
@@ -44,11 +59,20 @@ class HeapFile {
   /// (> 2^32 pages).
   Result<RecordLocator> Append(SetId sid, const ElementSet& set);
 
-  /// Reads the record at `locator`. `pages_touched`, if non-null, receives
-  /// the ids of every page the read touched (the caller charges I/O through
-  /// its buffer pool). Fails on invalid locators or corrupt slots.
-  Result<ElementSet> Read(const RecordLocator& locator, SetId* sid_out,
-                          std::vector<PageId>* pages_touched) const;
+  /// Reads and decodes the record at `locator` (its sid into `sid_out`
+  /// when non-null). Fails on invalid locators or corrupt slots.
+  Result<ElementSet> Read(const RecordLocator& locator, SetId* sid_out) const;
+
+  /// Locates the record at `locator` without decoding it, with exactly
+  /// Read's checks and statuses; the view names the pages the record
+  /// occupies (callers charge I/O for them through their buffer pool). A
+  /// slotted record's elements are viewed on
+  /// its page; a spanned record's bytes are copied into `*scratch` (reuse
+  /// one buffer across calls). With `scratch` null a spanned record's view
+  /// carries its header only. The view is valid until the next append or
+  /// the next View into the same scratch.
+  Result<RecordView> View(const RecordLocator& locator,
+                          std::vector<std::uint8_t>* scratch) const;
 
   /// Visits all records in file order (sequential). The visitor sees every
   /// record ever appended, including ones later deleted by SetStore; the

@@ -99,39 +99,75 @@ Result<SetId> SetStore::Add(const ElementSet& set) {
   return sid;
 }
 
-Result<ElementSet> SetStore::Get(SetId sid) {
-  // Exclusive: the fetch mutates the shared pool's LRU state and the I/O
-  // counters. Concurrent readers use ReadView (private pool, shared lock).
-  std::unique_lock<std::shared_mutex> lock(mu_);
+template <typename T, typename Use>
+Result<T> SetStore::FetchRecord(SetId sid, BufferPool& pool, IoCostModel& io,
+                                std::vector<std::uint8_t>* scratch,
+                                Use&& use) const {
   gets_->Increment();
   Stopwatch watch;
   std::size_t nodes = 0;
   auto loc = btree_.Find(sid, &nodes);
   if (!loc.ok()) return loc.status();
   if (options_.charge_btree_io) {
-    io_.ChargeRandomRead(nodes);
+    io.ChargeRandomRead(nodes);
   }
   // The page fetch is where transient device faults land ("store/get"
   // site); retry those before letting the error escape to the query layer.
-  auto result = fault::RetryWithPolicy(
-      options_.get_retry, [&]() -> Result<ElementSet> {
-        SSR_RETURN_IF_ERROR(
-            fault::FaultInjector::Default().CheckStatus("store/get"));
-        std::vector<PageId> touched;
-        SetId stored_sid = kInvalidSetId;
-        auto set = file_.Read(loc.value(), &stored_sid, &touched);
-        if (!set.ok()) return set.status();
-        if (stored_sid != sid) {
-          return Status::Corruption("sid mismatch in heap record");
-        }
-        for (PageId pid : touched) {
-          pool_.Access(pid, /*sequential=*/false, io_);
-        }
-        return set;
-      });
+  auto result = fault::RetryWithPolicy(options_.get_retry, [&]() -> Result<T> {
+    SSR_RETURN_IF_ERROR(
+        fault::FaultInjector::Default().CheckStatus("store/get"));
+    auto record = file_.View(loc.value(), scratch);
+    if (!record.ok()) return record.status();
+    if (record->sid != sid) {
+      return Status::Corruption("sid mismatch in heap record");
+    }
+    for (std::uint32_t i = 0; i < record->num_pages; ++i) {
+      pool.Access(record->first_page + i, /*sequential=*/false, io);
+    }
+    return use(record.value());
+  });
   if (!result.ok()) fetch_failures_->Increment();
   get_latency_hist_->Observe(static_cast<double>(watch.ElapsedMicros()));
   return result;
+}
+
+namespace {
+
+ElementSet Decode(const RecordView& record) { return record.Decode(); }
+
+// The verify verdict's input, computed on the record bytes in place.
+auto JaccardWith(const ElementSet& query) {
+  return [&query](const RecordView& record) {
+    return JaccardRaw(query, record.elements, record.count);
+  };
+}
+
+}  // namespace
+
+Result<ElementSet> SetStore::Get(SetId sid) {
+  // Exclusive: the fetch mutates the shared pool's LRU state and the I/O
+  // counters. Concurrent readers use ReadView (private pool, shared lock).
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  return FetchRecord<ElementSet>(sid, pool_, io_, &scratch_, Decode);
+}
+
+Result<Similarity> SetStore::SimilarityTo(SetId sid, const ElementSet& query) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  return FetchRecord<Similarity>(sid, pool_, io_, &scratch_,
+                                 JaccardWith(query));
+}
+
+Result<std::uint32_t> SetStore::RecordSize(SetId sid) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::size_t nodes = 0;
+  auto loc = btree_.Find(sid, &nodes);
+  if (!loc.ok()) return loc.status();
+  auto record = file_.View(loc.value(), /*scratch=*/nullptr);
+  if (!record.ok()) return record.status();
+  if (record->sid != sid) {
+    return Status::Corruption("sid mismatch in heap record");
+  }
+  return record->count;
 }
 
 SetStore::ReadView::ReadView(const SetStore& store,
@@ -143,39 +179,20 @@ SetStore::ReadView::ReadView(const SetStore& store,
                 store.options_.metrics_scope + "/view")),
       io_(store.options_.io, pool_.metrics_scope()) {}
 
+// The view fetches mirror the store's, but every mutable touch lands on
+// this view's private pool_/io_/scratch_; the shared structures (btree_,
+// file_) are only read, under the store's shared lock so writers are
+// excluded.
 Result<ElementSet> SetStore::ReadView::Get(SetId sid) {
-  // Mirrors SetStore::Get, but every mutable touch lands on this view's
-  // private pool_/io_; the shared structures (btree_, file_) are only
-  // read, under the store's shared lock so writers are excluded.
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  store_->gets_->Increment();
-  Stopwatch watch;
-  std::size_t nodes = 0;
-  auto loc = store_->btree_.Find(sid, &nodes);
-  if (!loc.ok()) return loc.status();
-  if (store_->options_.charge_btree_io) {
-    io_.ChargeRandomRead(nodes);
-  }
-  auto result = fault::RetryWithPolicy(
-      store_->options_.get_retry, [&]() -> Result<ElementSet> {
-        SSR_RETURN_IF_ERROR(
-            fault::FaultInjector::Default().CheckStatus("store/get"));
-        std::vector<PageId> touched;
-        SetId stored_sid = kInvalidSetId;
-        auto set = store_->file_.Read(loc.value(), &stored_sid, &touched);
-        if (!set.ok()) return set.status();
-        if (stored_sid != sid) {
-          return Status::Corruption("sid mismatch in heap record");
-        }
-        for (PageId pid : touched) {
-          pool_.Access(pid, /*sequential=*/false, io_);
-        }
-        return set;
-      });
-  if (!result.ok()) store_->fetch_failures_->Increment();
-  store_->get_latency_hist_->Observe(
-      static_cast<double>(watch.ElapsedMicros()));
-  return result;
+  return store_->FetchRecord<ElementSet>(sid, pool_, io_, &scratch_, Decode);
+}
+
+Result<Similarity> SetStore::ReadView::SimilarityTo(SetId sid,
+                                                    const ElementSet& query) {
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  return store_->FetchRecord<Similarity>(sid, pool_, io_, &scratch_,
+                                         JaccardWith(query));
 }
 
 Status SetStore::Delete(SetId sid) {
@@ -332,7 +349,7 @@ Result<SetStore> SetStore::Load(std::istream& in, SetStoreOptions options,
       return Status::Corruption("live sid beyond next_sid");
     }
     if (heap_report.salvaged &&
-        !store.file_.Read(locators[i], nullptr, nullptr).ok()) {
+        !store.file_.Read(locators[i], nullptr).ok()) {
       // The record's page(s) were quarantined: drop it from the live index
       // so the store never serves a silently wrong answer for this sid.
       ++live_dropped;

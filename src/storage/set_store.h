@@ -54,12 +54,12 @@ struct SetStoreOptions {
 };
 
 /// Mutable collection of sets with paged storage and I/O accounting.
-/// Internally synchronized: Add/Delete/Get/ScanAll take the store's
-/// exclusive lock (Get mutates the shared buffer pool's LRU state and the
-/// I/O counters), while Contains and ReadView reads share it — so any
-/// number of ReadViews may run concurrently with writers. High-throughput
-/// concurrent readers still prefer ReadView (private pool, no contention
-/// on the store's own pool).
+/// Internally synchronized: Add/Delete/Get/SimilarityTo/ScanAll take the
+/// store's exclusive lock (fetches mutate the shared buffer pool's LRU
+/// state and the I/O counters), while Contains, RecordSize and ReadView
+/// reads share it — so any number of ReadViews may run concurrently with
+/// writers. High-throughput concurrent readers still prefer ReadView
+/// (private pool, no contention on the store's own pool).
 class SetStore {
  public:
   explicit SetStore(SetStoreOptions options = SetStoreOptions());
@@ -83,6 +83,11 @@ class SetStore {
     /// charges this view's pool and cost model only.
     Result<ElementSet> Get(SetId sid);
 
+    /// Identical semantics to SetStore::SimilarityTo, charging this view's
+    /// pool and cost model; spanned records go through a scratch buffer
+    /// the view reuses across calls.
+    Result<Similarity> SimilarityTo(SetId sid, const ElementSet& query);
+
     /// Identical semantics to SetStore::ScanAll (sequential-read charging
     /// included), against this view's cost model.
     void ScanAll(const std::function<bool(SetId, const ElementSet&)>& visitor);
@@ -97,6 +102,7 @@ class SetStore {
     const SetStore* store_;
     BufferPool pool_;
     IoCostModel io_;
+    std::vector<std::uint8_t> scratch_;  // spanned-record bytes
   };
 
   /// Adds a set, assigning the next dense SetId. `set` must be normalized
@@ -108,6 +114,22 @@ class SetStore {
   /// faults (the "store/get" site, surfaced as Unavailable) are retried
   /// under options.get_retry before the error escapes.
   Result<ElementSet> Get(SetId sid);
+
+  /// The verification fetch: Jaccard(query, <sid's set>), computed against
+  /// the record bytes in place — slotted records straight off the page,
+  /// spanned ones through a reused scratch buffer — so no ElementSet is
+  /// materialized. Everything else is Get's: the "store/get" fault site
+  /// under get_retry, the same statuses (NotFound, DataLoss for quarantined
+  /// pages, Corruption for a sid mismatch), per-page pool and I/O charging,
+  /// and the gets/fetch-failure counters. Bit-identical to
+  /// Jaccard(query, Get(sid).value()).
+  Result<Similarity> SimilarityTo(SetId sid, const ElementSet& query);
+
+  /// The element count of sid's record, read from its header without
+  /// decoding the elements and without touching the pool or the I/O
+  /// model. Fails like Get (NotFound, DataLoss, Corruption on a sid
+  /// mismatch) but never retries: it is a metadata read for index loads.
+  Result<std::uint32_t> RecordSize(SetId sid) const;
 
   /// Removes a set from the collection (unlinks it from the sid index; heap
   /// space is not reclaimed, as in a heap file without vacuum).
@@ -179,6 +201,15 @@ class SetStore {
   ~SetStore() = default;
 
  private:
+  // The record fetch shared by Get and SimilarityTo on the store and its
+  // views: B+-tree lookup, the "store/get" fault site under get_retry, the
+  // sid check, per-page charging to `pool`/`io`, and the store counters.
+  // `use` maps the validated RecordView to the result while the caller
+  // still holds mu_. Defined (and only instantiated) in set_store.cc.
+  template <typename T, typename Use>
+  Result<T> FetchRecord(SetId sid, BufferPool& pool, IoCostModel& io,
+                        std::vector<std::uint8_t>* scratch, Use&& use) const;
+
   // Guards file_/btree_/pool_/io_/next_sid_/live_bytes_: exclusive for
   // mutations and pool-touching reads, shared for ReadView fetches and
   // pure lookups. Declared first so it outlives every guarded member
@@ -198,6 +229,7 @@ class SetStore {
   obs::Histogram* get_latency_hist_;  // ssr_store_get_latency_micros
   SetId next_sid_ = 0;
   std::uint64_t live_bytes_ = 0;
+  std::vector<std::uint8_t> scratch_;  // spanned-record bytes; under mu_
 };
 
 }  // namespace ssr

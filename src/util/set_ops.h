@@ -8,6 +8,7 @@
 #define SSR_UTIL_SET_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/types.h"
 
@@ -28,6 +29,13 @@ std::size_t UnionSize(const ElementSet& a, const ElementSet& b);
 /// Jaccard coefficient sim(a, b) = |a ∩ b| / |a ∪ b| (Definition 1).
 /// By convention sim(∅, ∅) = 1 (identical sets).
 Similarity Jaccard(const ElementSet& a, const ElementSet& b);
+
+/// Jaccard(a, b) where b is given in place as `nb` sorted, duplicate-free
+/// elements stored as raw native-order u64s at `b_bytes` (any alignment) —
+/// a heap record's element bytes, verified without materializing an
+/// ElementSet. Bit-identical to Jaccard(a, <b decoded>).
+Similarity JaccardRaw(const ElementSet& a, const std::uint8_t* b_bytes,
+                      std::size_t nb);
 
 /// Jaccard distance d(a, b) = 1 − sim(a, b); a metric (footnote 1 of the
 /// paper).

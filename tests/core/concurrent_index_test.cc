@@ -125,6 +125,112 @@ TEST(ConcurrentIndexTest, WriterObservesItsOwnEraseImmediately) {
 // error — an erase racing a candidate fetch degrades (sequential fallback)
 // rather than failing. After the churn quiesces, a final query agrees with
 // the surviving live set exactly.
+// A sid's set size publishes in the same slot as its signature: a reader
+// that sees a sid live must see exactly the size it was inserted with —
+// never a stale value and never zero (every set here is non-empty) — while
+// writers insert sets of widely varying size and erase them again, and
+// readers run length-pruned queries through their own views.
+TEST(ConcurrentIndexTest, LiveSidsAlwaysCarryTheirSetSize) {
+  constexpr std::size_t kInitial = 32;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kOpsPerWriter = 100;
+  constexpr std::size_t kMaxSids = kInitial + kWriters * kOpsPerWriter;
+
+  exec::EpochManager em;
+  Rng rng(4099);
+  LiveIndex live = BuildLiveIndex(rng, kInitial, &em);
+  // Size each sid was stored with; written before the sid reaches the
+  // index, so a reader that sees it live can check against it.
+  std::vector<std::atomic<std::uint32_t>> expected(kMaxSids);
+  for (SetId sid = 0; sid < kInitial; ++sid) {
+    expected[sid].store(static_cast<std::uint32_t>(
+        live.store->RecordSize(sid).value()));
+  }
+  std::atomic<std::size_t> bound{kInitial};
+  std::mutex store_mu;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng wrng(5000 + w);
+      std::vector<SetId> mine;
+      for (int i = 0; i < kOpsPerWriter; ++i) {
+        if (mine.size() < 3 || wrng.Bernoulli(0.6)) {
+          ElementSet set;
+          const std::size_t n =
+              1 + wrng.Uniform(wrng.Bernoulli(0.2) ? 700 : 40);
+          for (std::size_t e = 0; e < n; ++e) {
+            set.push_back(wrng.Uniform(4000));
+          }
+          NormalizeSet(set);
+          SetId sid = kInvalidSetId;
+          {
+            std::lock_guard<std::mutex> lock(store_mu);
+            auto added = live.store->Add(set);
+            ASSERT_TRUE(added.ok());
+            sid = *added;
+          }
+          expected[sid].store(static_cast<std::uint32_t>(set.size()));
+          std::size_t seen = bound.load();
+          while (seen < sid + 1u &&
+                 !bound.compare_exchange_weak(seen, sid + 1u)) {
+          }
+          ASSERT_TRUE(live.index->Insert(sid, set).ok());
+          mine.push_back(sid);
+        } else {
+          const std::size_t pick = wrng.Uniform(mine.size());
+          ASSERT_TRUE(live.index->Erase(mine[pick]).ok());
+          {
+            std::lock_guard<std::mutex> lock(store_mu);
+            ASSERT_TRUE(live.store->Delete(mine[pick]).ok());
+          }
+          mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+      }
+    });
+  }
+
+  std::atomic<std::size_t> checked{0};
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rrng(6000 + r);
+      SetStore::ReadView view(*live.store);
+      std::vector<SetId> scratch;
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int k = 0; k < 16; ++k) {
+          const SetId sid = static_cast<SetId>(rrng.Uniform(bound.load()));
+          const auto size = live.index->set_size(sid);
+          if (!size.has_value()) continue;
+          ASSERT_NE(*size, 0u) << "sid " << sid;
+          ASSERT_EQ(*size, expected[sid].load()) << "sid " << sid;
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+        const ElementSet probe = RandomSet(rrng);
+        auto answer =
+            live.index->QueryThrough(view, probe, 0.5, 1.0, &scratch);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        ASSERT_LE(answer->stats.sets_fetched + answer->stats.length_pruned,
+                  answer->stats.candidates);
+        ASSERT_TRUE(std::is_sorted(answer->sids.begin(), answer->sids.end()));
+      }
+    });
+  }
+
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  stop.store(true);
+  for (std::size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+  em.Quiesce();
+  EXPECT_GT(checked.load(), 0u);
+  for (SetId sid = 0; sid < bound.load(); ++sid) {
+    const auto size = live.index->set_size(sid);
+    if (size.has_value()) {
+      EXPECT_EQ(*size, expected[sid].load());
+    }
+  }
+}
+
 TEST(ConcurrentIndexStressTest, QueriesStayWellFormedUnderChurn) {
   constexpr std::size_t kInitial = 48;
   constexpr int kWriters = 2;

@@ -19,6 +19,9 @@
 #include "core/set_similarity_index.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
+#include "storage/heap_file.h"
+#include "storage/snapshot.h"
+#include "util/serialize.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -32,6 +35,26 @@ struct Fixture {
   SetStore store;
   std::unique_ptr<SetSimilarityIndex> index;
 };
+
+std::unique_ptr<SetSimilarityIndex> BuildIndex(
+    SetStore& store, DegradeMode degrade,
+    const fault::RetryPolicy& probe_retry = {}) {
+  IndexLayout layout;
+  layout.delta = 0.3;
+  layout.points = {{0.3, FilterKind::kDissimilarity, 6, 0},
+                   {0.3, FilterKind::kSimilarity, 6, 0},
+                   {0.7, FilterKind::kSimilarity, 6, 3}};
+  IndexOptions options;
+  options.embedding.minhash.num_hashes = 80;
+  options.embedding.minhash.seed = 999;
+  options.seed = 1234;
+  options.degrade = degrade;
+  options.probe_retry = probe_retry;
+  auto index = SetSimilarityIndex::Build(store, layout, options);
+  EXPECT_TRUE(index.ok());
+  if (!index.ok()) return nullptr;
+  return std::make_unique<SetSimilarityIndex>(std::move(index).value());
+}
 
 std::unique_ptr<Fixture> BuildFixture(
     std::size_t n, DegradeMode degrade,
@@ -47,21 +70,8 @@ std::unique_ptr<Fixture> BuildFixture(
     f->sets.push_back(s);
     EXPECT_TRUE(f->store.Add(s).ok());
   }
-  IndexLayout layout;
-  layout.delta = 0.3;
-  layout.points = {{0.3, FilterKind::kDissimilarity, 6, 0},
-                   {0.3, FilterKind::kSimilarity, 6, 0},
-                   {0.7, FilterKind::kSimilarity, 6, 3}};
-  IndexOptions options;
-  options.embedding.minhash.num_hashes = 80;
-  options.embedding.minhash.seed = 999;
-  options.seed = 1234;
-  options.degrade = degrade;
-  options.probe_retry = probe_retry;
-  auto index = SetSimilarityIndex::Build(f->store, layout, options);
-  EXPECT_TRUE(index.ok());
-  if (!index.ok()) return nullptr;
-  f->index = std::make_unique<SetSimilarityIndex>(std::move(index).value());
+  f->index = BuildIndex(f->store, degrade, probe_retry);
+  if (f->index == nullptr) return nullptr;
   return f;
 }
 
@@ -293,6 +303,160 @@ TEST_F(DegradedQueryTest, AbsorbedRetriesSurfaceInQueryStats) {
 }
 
 // ---------------------------------------------------------------------------
+// The in-place verification fetch (SetStore::SimilarityTo) under faults: the
+// same statuses and degrade tags the materializing fetch produced, in every
+// DegradeMode. Length-pruned candidates never reach the store at all.
+// ---------------------------------------------------------------------------
+
+constexpr DegradeMode kAllModes[] = {DegradeMode::kFailFast,
+                                     DegradeMode::kPartialResults,
+                                     DegradeMode::kSequentialFallback};
+
+TEST_F(DegradedQueryTest, InPlaceVerifyRetryExhaustionInEveryMode) {
+  SKIP_WITHOUT_INJECTION();
+  for (DegradeMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto f = BuildFixture(150, mode);
+    ASSERT_NE(f, nullptr);
+    const ElementSet& q = f->sets[0];  // J(q, q) = 1: always fetched
+    auto clean = f->index->Query(q, 0.5, 1.0);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_GT(clean->stats.sets_fetched, 0u);
+
+    auto& fi = fault::FaultInjector::Default();
+    fi.Reset();
+    fi.Enable(1);
+    fi.Arm("store/get", fault::FaultKind::kReadError,
+           fault::FaultSchedule::Always());
+    auto r = f->index->Query(q, 0.5, 1.0);
+    const std::uint64_t hits = fi.hits("store/get");
+    fi.Reset();
+    if (mode == DegradeMode::kFailFast) {
+      EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->stats.degraded);
+    EXPECT_EQ(r->stats.sets_fetched, 0u);
+    if (mode == DegradeMode::kPartialResults) {
+      // Every unpruned candidate was tried (3 attempts each, the default
+      // get_retry) and failed; no pruned one was ever tried.
+      EXPECT_EQ(r->stats.length_pruned, clean->stats.length_pruned);
+      const std::size_t tried =
+          r->stats.candidates - r->stats.length_pruned;
+      EXPECT_EQ(r->stats.fetch_failures, tried);
+      EXPECT_EQ(hits, 3u * tried);
+      EXPECT_TRUE(r->sids.empty());
+    } else {
+      EXPECT_EQ(r->stats.fetch_failures, 1u);
+      EXPECT_EQ(r->sids, BruteForce(f->sets, q, 0.5, 1.0));
+    }
+  }
+}
+
+// A store whose sid index maps sids `a` and `b` to each other's records,
+// built from a valid store's snapshot sections: every fetch of either sid
+// hits the heap record's sid check. (Quarantined pages cannot be reached
+// this way — a salvage load drops their records from the sid index — so
+// their DataLoss is pinned at the heap level, SnapshotFaultTest.)
+std::unique_ptr<SetStore> SwapRecordLocators(const SetStore& src,
+                                             const SetCollection& sets,
+                                             SetId a, SetId b) {
+  std::vector<SetId> live;
+  std::vector<RecordLocator> locators;
+  src.btree().ScanRange(0, static_cast<SetId>(sets.size() - 1),
+                        [&](SetId sid, const RecordLocator& loc) {
+                          live.push_back(sid);
+                          locators.push_back(loc);
+                          return true;
+                        });
+  std::swap(locators[a], locators[b]);
+  std::uint64_t live_bytes = 0;
+  for (const ElementSet& s : sets) {
+    live_bytes += HeapFile::RecordBytes(s.size());
+  }
+  std::stringstream bytes;
+  SnapshotWriter snapshot(bytes, "SSRSTORE", 2);
+  BinaryWriter& meta = snapshot.BeginSection("meta");
+  meta.WriteU32(static_cast<std::uint32_t>(sets.size()));
+  meta.WriteU64(live_bytes);
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  BinaryWriter& live_sec = snapshot.BeginSection("live");
+  live_sec.WriteVector(live);
+  live_sec.WriteVector(locators);
+  EXPECT_TRUE(snapshot.EndSection().ok());
+  EXPECT_TRUE(snapshot.Finish().ok());
+  EXPECT_TRUE(src.file().SaveTo(bytes).ok());
+  auto store = SetStore::Load(bytes);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  return std::make_unique<SetStore>(std::move(store).value());
+}
+
+TEST_F(DegradedQueryTest, InPlaceVerifySidMismatchInEveryMode) {
+  auto f = BuildFixture(150, DegradeMode::kSequentialFallback);
+  ASSERT_NE(f, nullptr);
+  auto swapped = SwapRecordLocators(f->store, f->sets, 0, 1);
+  ASSERT_NE(swapped, nullptr);
+  EXPECT_TRUE(swapped->Get(0).status().IsCorruption());
+  EXPECT_TRUE(
+      swapped->SimilarityTo(0, f->sets[0]).status().IsCorruption());
+  EXPECT_TRUE(swapped->RecordSize(1).status().IsCorruption());
+
+  const ElementSet& q = f->sets[0];
+  const std::vector<SetId> truth = BruteForce(f->sets, q, 0.5, 1.0);
+  for (DegradeMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto index = BuildIndex(*swapped, mode);
+    ASSERT_NE(index, nullptr);
+    auto r = index->Query(q, 0.5, 1.0);
+    if (mode == DegradeMode::kFailFast) {
+      EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->stats.degraded);
+    EXPECT_GE(r->stats.fetch_failures, 1u);
+    if (mode == DegradeMode::kPartialResults) {
+      EXPECT_TRUE(IsSubset(r->sids, truth));
+      EXPECT_FALSE(std::binary_search(r->sids.begin(), r->sids.end(), 0u));
+    } else {
+      EXPECT_EQ(r->sids, truth);  // the scan reads records, not locators
+    }
+  }
+}
+
+// An index loaded against a store that cannot size a record keeps that
+// sid unprunable, so verification still meets it and degrades on it.
+TEST_F(DegradedQueryTest, UnsizableRecordsAreNeverPrunedAfterLoad) {
+  auto f = BuildFixture(150, DegradeMode::kSequentialFallback);
+  ASSERT_NE(f, nullptr);
+  auto swapped = SwapRecordLocators(f->store, f->sets, 0, 1);
+  ASSERT_NE(swapped, nullptr);
+  std::stringstream snapshot;
+  ASSERT_TRUE(f->index->SaveTo(snapshot).ok());
+  auto loaded = SetSimilarityIndex::Load(*swapped, snapshot);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->set_size(0), SetSimilarityIndex::kUnknownSetSize);
+  EXPECT_EQ(loaded->set_size(1), SetSimilarityIndex::kUnknownSetSize);
+  EXPECT_EQ(loaded->set_size(2), f->sets[2].size());
+  EXPECT_EQ(loaded->ContentDigest(), f->index->ContentDigest());
+
+  // A tiny query bounds every stored set below σ1 = 0.5 — all are pruned
+  // except the two unsizable sids, whose fetch reports the mismatch.
+  const ElementSet q = {f->sets[0][0]};
+  auto r = loaded->Query(q, 0.5, 1.0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  if (r->stats.candidates > r->stats.length_pruned) {
+    EXPECT_TRUE(r->stats.degraded);
+    EXPECT_EQ(r->sids, BruteForce(f->sets, q, 0.5, 1.0));
+  }
+  for (SetId sid = 2; sid < f->sets.size(); ++sid) {
+    EXPECT_EQ(loaded->set_size(sid), f->sets[sid].size());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Index snapshot salvage: a damaged signatures section is rebuilt from the
 // store instead of failing the load.
 // ---------------------------------------------------------------------------
@@ -332,12 +496,17 @@ TEST_F(DegradedQueryTest, SalvageRebuildsCorruptSignatures) {
   // stores identical signatures and answers queries identically.
   for (SetId sid = 0; sid < 150; ++sid) {
     EXPECT_EQ(loaded->signature(sid), f->index->signature(sid));
+    EXPECT_EQ(loaded->set_size(sid), f->sets[sid].size());
   }
+  // Re-embedding also re-derives every set size, so pruning and fetching
+  // are identical too.
   for (const TestQuery& tq : MakeQueries(*f, 15)) {
     auto a = f->index->Query(tq.q, tq.s1, tq.s2);
     auto b = loaded->Query(tq.q, tq.s1, tq.s2);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->sids, b->sids);
+    EXPECT_EQ(a->stats.length_pruned, b->stats.length_pruned);
+    EXPECT_EQ(a->stats.sets_fetched, b->stats.sets_fetched);
   }
 }
 
@@ -376,6 +545,13 @@ TEST_F(DegradedQueryTest, SalvageDropsSignaturesOfLostRecords) {
   auto index = SetSimilarityIndex::Load(*store, index_buf, index_salvage);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ(index->num_live_sets(), store->size());
+  for (SetId sid = 0; sid < f->sets.size(); ++sid) {
+    if (store->Contains(sid)) {
+      EXPECT_EQ(index->set_size(sid), f->sets[sid].size());
+    } else {
+      EXPECT_FALSE(index->set_size(sid).has_value());
+    }
+  }
 
   for (const TestQuery& tq : MakeQueries(*f, 15)) {
     auto r = index->Query(tq.q, tq.s1, tq.s2);

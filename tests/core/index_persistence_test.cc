@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/set_similarity_index.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -65,6 +66,64 @@ TEST(IndexPersistenceTest, LoadedIndexAnswersIdentically) {
     EXPECT_EQ(a->sids, b->sids) << "range [" << s1 << ", " << s2 << "]";
     EXPECT_EQ(a->stats.candidates, b->stats.candidates);
   }
+}
+
+// Set sizes are not in the snapshot; Load reads them from the store's
+// record headers. The loaded index must prune and fetch exactly like the
+// saved one — including a spanned record and the empty set.
+TEST(IndexPersistenceTest, LoadRestoresSetSizesAndPruning) {
+  auto f = BuildFixture(150);
+  ASSERT_NE(f, nullptr);
+  ElementSet big;
+  for (ElementId e = 0; e < 900; ++e) big.push_back(2 * e);
+  for (const ElementSet& extra : {big, ElementSet{}}) {
+    auto sid = f->store.Add(extra);
+    ASSERT_TRUE(sid.ok());
+    ASSERT_TRUE(f->index->Insert(*sid, extra).ok());
+    f->sets.push_back(extra);
+  }
+  std::stringstream buffer;
+  ASSERT_TRUE(f->index->SaveTo(buffer).ok());
+  auto loaded = SetSimilarityIndex::Load(f->store, buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->ContentDigest(), f->index->ContentDigest());
+  for (SetId sid = 0; sid < f->sets.size(); ++sid) {
+    ASSERT_EQ(loaded->set_size(sid), f->sets[sid].size()) << sid;
+  }
+  Rng rng(17);
+  std::size_t pruned = 0;
+  for (int t = 0; t < 30; ++t) {
+    const ElementSet& q = f->sets[rng.Uniform(f->sets.size())];
+    const double s1 = 0.3 + 0.6 * rng.NextDouble();
+    auto a = f->index->Query(q, s1, 1.0);
+    auto b = loaded->Query(q, s1, 1.0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->sids, b->sids);
+    EXPECT_EQ(a->stats.length_pruned, b->stats.length_pruned);
+    EXPECT_EQ(a->stats.sets_fetched, b->stats.sets_fetched);
+    pruned += a->stats.length_pruned;
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
+// Keeping set sizes beside the signatures changes neither the snapshot
+// format nor the digest: for these inputs both are pinned to the values
+// the index produced before sizes existed.
+TEST(IndexPersistenceTest, SnapshotBytesAndDigestArePinned) {
+  auto f = BuildFixture(150);
+  ASSERT_NE(f, nullptr);
+  ElementSet big;
+  for (ElementId e = 0; e < 700; ++e) big.push_back(3 * e + 1);
+  auto sid = f->store.Add(big);
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(f->index->Insert(*sid, big).ok());
+  ASSERT_TRUE(f->index->Erase(3).ok());
+  std::stringstream buffer;
+  ASSERT_TRUE(f->index->SaveTo(buffer).ok());
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(f->index->ContentDigest(), 0x12572a7e8dbf6570ULL);
+  EXPECT_EQ(bytes.size(), 26072u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x859de2eeu);
 }
 
 TEST(IndexPersistenceTest, LoadedIndexSupportsDynamicOps) {

@@ -4,6 +4,8 @@
 
 #include "baseline/exact_evaluator.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
+#include "storage/heap_file.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -295,6 +297,163 @@ TEST(SetSimilarityIndexTest, DfiOnlyLayoutCoversHighRanges) {
   // The fallback plan uses all live sids minus Dissim(lo): recall must be
   // high because nothing above lo is excluded... modulo filter error at lo.
   EXPECT_GE(Recall(result->sids, truth), 0.9);
+}
+
+// ---------------------------------------------------------------------------
+// The verification length bound: J(q, s) <= min(|q|,|s|) / max(|q|,|s|).
+// Candidates below σ1 by size alone are dropped before any fetch; the
+// filter must drop exactly candidates verification would have rejected.
+// ---------------------------------------------------------------------------
+
+ElementSet Range(ElementId lo, ElementId hi) {
+  ElementSet s;
+  for (ElementId e = lo; e < hi; ++e) s.push_back(e);
+  return s;
+}
+
+// One SFI at 0.97 and nothing else: any range with σ1 < 0.97 <= 0.97 < σ2
+// runs the full-collection plan, so every live sid is a candidate and the
+// length bound alone decides what is fetched.
+struct LengthFixture {
+  SetStore store;
+  std::unique_ptr<SetSimilarityIndex> index;
+  std::vector<ElementSet> sets;
+};
+
+std::unique_ptr<LengthFixture> BuildLengthFixture(
+    std::vector<ElementSet> sets) {
+  auto f = std::make_unique<LengthFixture>();
+  f->sets = std::move(sets);
+  for (const ElementSet& s : f->sets) EXPECT_TRUE(f->store.Add(s).ok());
+  IndexLayout layout;
+  layout.delta = 0.0;
+  layout.points = {{0.97, FilterKind::kSimilarity, 4, 0}};
+  IndexOptions options;
+  options.embedding.minhash.num_hashes = 60;
+  auto index = SetSimilarityIndex::Build(f->store, layout, options);
+  EXPECT_TRUE(index.ok()) << index.status().ToString();
+  if (!index.ok()) return nullptr;
+  f->index = std::make_unique<SetSimilarityIndex>(std::move(index).value());
+  return f;
+}
+
+// Runs (q, [s1, s2]) serially and through a ReadView; both must agree with
+// verifying every candidate, and count every candidate as fetched or
+// pruned. Returns the serial result.
+QueryResult CheckLossless(const LengthFixture& f, const ElementSet& q,
+                          double s1, double s2) {
+  constexpr double kEps = 1e-12;
+  auto serial = f.index->Query(q, s1, s2);
+  EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+  if (!serial.ok()) return {};
+  SetStore::ReadView view(f.store);
+  auto through = f.index->QueryThrough(view, q, s1, s2);
+  EXPECT_TRUE(through.ok());
+  auto candidates = f.index->QueryCandidates(q, s1, s2);
+  EXPECT_TRUE(candidates.ok());
+  if (!through.ok() || !candidates.ok()) return {};
+  std::vector<SetId> verify_all;
+  for (SetId sid : candidates->sids) {
+    const double sim = Jaccard(f.sets[sid], q);
+    if (sim >= s1 - kEps && sim <= s2 + kEps) verify_all.push_back(sid);
+  }
+  EXPECT_EQ(serial->sids, verify_all);
+  EXPECT_EQ(through->sids, verify_all);
+  EXPECT_EQ(serial->stats.candidates, candidates->sids.size());
+  EXPECT_EQ(serial->stats.sets_fetched + serial->stats.length_pruned,
+            serial->stats.candidates);
+  EXPECT_EQ(through->stats.length_pruned, serial->stats.length_pruned);
+  EXPECT_EQ(through->stats.sets_fetched, serial->stats.sets_fetched);
+  return std::move(serial).value();
+}
+
+TEST(LengthBoundTest, BoundExactlyAtSigma1IsKept) {
+  // |q| = 10. Sizes 5, 20 and 5 bound at exactly 0.5 (J 0.5, 0.5, 0);
+  // size 4 bounds at 0.4 — the only one below σ1 = 0.5.
+  auto f = BuildLengthFixture({Range(0, 5), Range(0, 20), Range(100, 105),
+                               Range(0, 4), Range(0, 10)});
+  ASSERT_NE(f, nullptr);
+  const QueryResult r = CheckLossless(*f, Range(0, 10), 0.5, 1.0);
+  EXPECT_EQ(r.stats.plan, QueryPlanKind::kFullCollection);
+  EXPECT_EQ(r.sids, (std::vector<SetId>{0, 1, 4}));
+  EXPECT_EQ(r.stats.length_pruned, 1u);
+  EXPECT_EQ(r.stats.sets_fetched, 4u);
+  // σ1 = 0.1 = fl(1/10): a one-element set bounded at exactly σ1 is kept.
+  auto g = BuildLengthFixture({Range(0, 1), Range(50, 51), Range(0, 10)});
+  ASSERT_NE(g, nullptr);
+  const QueryResult low = CheckLossless(*g, Range(0, 10), 0.1, 1.0);
+  EXPECT_EQ(low.sids, (std::vector<SetId>{0, 2}));
+  EXPECT_EQ(low.stats.length_pruned, 0u);
+}
+
+TEST(LengthBoundTest, ZeroSigma1PrunesNothing) {
+  auto f = BuildLengthFixture(
+      {Range(0, 1), Range(0, 300), {}, Range(7, 9), Range(0, 40)});
+  ASSERT_NE(f, nullptr);
+  const QueryResult r = CheckLossless(*f, Range(0, 40), 0.0, 0.99);
+  EXPECT_EQ(r.stats.length_pruned, 0u);
+  EXPECT_EQ(r.stats.sets_fetched, 5u);
+  EXPECT_EQ(r.sids, (std::vector<SetId>{0, 1, 2, 3}));
+}
+
+TEST(LengthBoundTest, EmptyQueryAgainstEmptyAndNonEmptySets) {
+  // sim(∅, ∅) = 1 and sim(∅, s) = 0: the bound says the same, so the empty
+  // stored set is fetched and returned and every other set is pruned.
+  auto f = BuildLengthFixture({Range(0, 3), {}, Range(5, 6), Range(0, 700)});
+  ASSERT_NE(f, nullptr);
+  const QueryResult r = CheckLossless(*f, {}, 0.5, 1.0);
+  EXPECT_EQ(r.sids, (std::vector<SetId>{1}));
+  EXPECT_EQ(r.stats.sets_fetched, 1u);
+  EXPECT_EQ(r.stats.length_pruned, 3u);
+  // At σ1 = 0 nothing is pruned and only the empty set is out of range.
+  const QueryResult all = CheckLossless(*f, {}, 0.0, 0.99);
+  EXPECT_EQ(all.stats.length_pruned, 0u);
+  EXPECT_EQ(all.sids, (std::vector<SetId>{0, 2, 3}));
+}
+
+TEST(LengthBoundTest, SpannedStoredSetVerifiesThroughScratch) {
+  // 1000 and 1200 elements: records spanning several pages, verified from
+  // the store's (serial) and the view's scratch buffers.
+  auto f = BuildLengthFixture(
+      {Range(0, 1000), Range(0, 8), Range(0, 1200), Range(0, 900)});
+  ASSERT_NE(f, nullptr);
+  ASSERT_GT(HeapFile::RecordBytes(1000), kPageSize);
+  const QueryResult r = CheckLossless(*f, Range(0, 900), 0.8, 1.0);
+  EXPECT_EQ(r.sids, (std::vector<SetId>{0, 3}));  // J 0.9 and 1
+  EXPECT_EQ(r.stats.length_pruned, 2u);  // sizes 8 and 1200 bound below 0.8
+  obs::Counter* pruned = obs::MetricsRegistry::Default().GetCounter(
+      "ssr_index_length_pruned_total", f->index->metrics_scope());
+  const std::uint64_t before = pruned->value();
+  ASSERT_TRUE(f->index->Query(Range(0, 900), 0.8, 1.0).ok());
+  EXPECT_EQ(pruned->value() - before, 2u);
+}
+
+TEST(LengthBoundTest, ClusteredQueriesMatchVerifyingEveryCandidate) {
+  auto f = BuildFixture(300, FullLayout());
+  ASSERT_NE(f, nullptr);
+  Rng rng(99);
+  std::size_t pruned = 0;
+  for (int t = 0; t < 40; ++t) {
+    const ElementSet& q = f->sets[rng.Uniform(f->sets.size())];
+    const double s1 = rng.NextDouble();
+    const double s2 = s1 + rng.NextDouble() * (1.0 - s1);
+    auto serial = f->index->Query(q, s1, s2);
+    auto candidates = f->index->QueryCandidates(q, s1, s2);
+    ASSERT_TRUE(serial.ok() && candidates.ok());
+    std::vector<SetId> verify_all;
+    for (SetId sid : candidates->sids) {
+      const double sim = Jaccard(f->sets[sid], q);
+      if (sim >= s1 - 1e-12 && sim <= s2 + 1e-12) verify_all.push_back(sid);
+    }
+    EXPECT_EQ(serial->sids, verify_all) << "query " << t;
+    if (serial->stats.plan != QueryPlanKind::kFullCollection || s1 > 0.0 ||
+        s2 < 1.0) {
+      EXPECT_EQ(serial->stats.sets_fetched + serial->stats.length_pruned,
+                serial->stats.candidates);
+    }
+    pruned += serial->stats.length_pruned;
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

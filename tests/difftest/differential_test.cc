@@ -52,6 +52,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/exact_evaluator.h"
 #include "baseline/sequential_scan.h"
 #include "core/set_similarity_index.h"
 #include "exec/batch_executor.h"
@@ -111,8 +112,12 @@ struct RangeQuery {
 class Workload {
  public:
   explicit Workload(std::uint64_t seed,
-                    MinHashFamilyKind family = DifftestFamily())
-      : seed_(seed), family_(family), rng_(seed) {}
+                    MinHashFamilyKind family = DifftestFamily(),
+                    bool skewed_sizes = false)
+      : seed_(seed),
+        family_(family),
+        skewed_sizes_(skewed_sizes),
+        rng_(seed) {}
 
   Status BuildAll() {
     const std::size_t n = 120 + rng_.Uniform(80);
@@ -361,6 +366,62 @@ class Workload {
         std::count(live_.begin(), live_.end(), true));
   }
 
+  // The verification length bound against an in-memory oracle: serial and
+  // routed answers must equal ExactEvaluator's restricted to the candidates
+  // (pruning drops only what verify would reject), stay a subset of the
+  // oracle (precision 1), equal it on the full-collection plan, and
+  // account every candidate as fetched or pruned. Returns the candidates
+  // this batch pruned.
+  std::size_t CheckLengthBound(const std::vector<RangeQuery>& queries) {
+    ExactEvaluator exact(sets_);
+    shard::QueryRouter router(*ShardedAt(4), {});
+    std::size_t pruned = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const RangeQuery& q = queries[i];
+      std::vector<SetId> truth;
+      for (SetId sid : exact.Query(q.query, q.sigma1, q.sigma2)) {
+        if (live_[sid]) truth.push_back(sid);
+      }
+      auto serial = index_->Query(q.query, q.sigma1, q.sigma2);
+      auto routed = router.Query(q.query, q.sigma1, q.sigma2);
+      auto candidates = index_->QueryCandidates(q.query, q.sigma1, q.sigma2);
+      if (!serial.ok() || !routed.ok() || !candidates.ok()) {
+        ADD_FAILURE() << "query " << i << " failed\n" << Repro(seed_);
+        return pruned;
+      }
+      std::vector<SetId> verify_all;
+      for (SetId sid : candidates->sids) {
+        if (std::binary_search(truth.begin(), truth.end(), sid)) {
+          verify_all.push_back(sid);
+        }
+      }
+      const QueryStats& st = serial->stats;
+      EXPECT_TRUE(std::includes(truth.begin(), truth.end(),
+                                serial->sids.begin(), serial->sids.end()))
+          << "false positive on query " << i << "\n" << Repro(seed_);
+      if (st.plan == QueryPlanKind::kFullCollection) {
+        EXPECT_EQ(serial->sids, truth) << "query " << i << "\n"
+                                       << Repro(seed_);
+      }
+      if (st.plan != QueryPlanKind::kFullCollection || q.sigma1 > 0.0 ||
+          q.sigma2 < 1.0) {
+        EXPECT_EQ(serial->sids, verify_all)
+            << "the length bound dropped a true answer on query " << i
+            << "\n" << Repro(seed_);
+        EXPECT_EQ(st.sets_fetched + st.length_pruned, st.candidates)
+            << Repro(seed_);
+      }
+      EXPECT_EQ(routed->sids, serial->sids)
+          << "routed diverged on query " << i << "\n" << Repro(seed_);
+      EXPECT_EQ(routed->stats.candidates, st.candidates) << Repro(seed_);
+      EXPECT_EQ(routed->stats.length_pruned, st.length_pruned)
+          << Repro(seed_);
+      EXPECT_EQ(routed->stats.sets_fetched, st.sets_fetched) << Repro(seed_);
+      pruned += st.length_pruned;
+    }
+    return pruned;
+  }
+
   // Starts the durability protocol on the serial executor: checkpoint its
   // current state (stable LSN 0 for this fresh log) and attach a WAL so
   // every subsequent churn mutation is logged before it applies. Churn also
@@ -450,11 +511,23 @@ class Workload {
   }
   ElementSet RandomSet() {
     ElementSet s;
-    const std::size_t size = 8 + rng_.Uniform(64);
+    const std::size_t size =
+        skewed_sizes_ ? SkewedSize() : 8 + rng_.Uniform(64);
     for (std::size_t j = 0; j < size; ++j) s.push_back(rng_.Uniform(5000));
     NormalizeSet(s);
-    if (s.empty()) s.push_back(1);
+    if (s.empty() && !skewed_sizes_) s.push_back(1);
     return s;
+  }
+
+  // Heavy-tailed sizes for the length-bound schedule: mostly tiny sets,
+  // some mid-sized, a few larger than a page (spanned records), and the
+  // occasional empty set.
+  std::size_t SkewedSize() {
+    const double u = rng_.NextDouble();
+    if (u < 0.03) return 0;
+    if (u < 0.55) return 1 + rng_.Uniform(6);
+    if (u < 0.9) return 8 + rng_.Uniform(64);
+    return 520 + rng_.Uniform(400);
   }
 
   shard::ShardedSetSimilarityIndex* ShardedAt(std::uint32_t p) {
@@ -468,9 +541,9 @@ class Workload {
     ASSERT_GE(stats.candidates, stats.results)
         << who << " verified more sids than it had candidates, query " << i
         << "\n" << Repro(seed_);
-    ASSERT_LE(stats.sets_fetched, stats.candidates)
-        << who << " fetched more sets than candidates, query " << i << "\n"
-        << Repro(seed_);
+    ASSERT_LE(stats.sets_fetched + stats.length_pruned, stats.candidates)
+        << who << " fetched or pruned more sets than candidates, query " << i
+        << "\n" << Repro(seed_);
     ASSERT_FALSE(stats.degraded)
         << who << " degraded without injected faults, query " << i << "\n"
         << Repro(seed_);
@@ -480,6 +553,7 @@ class Workload {
 
   const std::uint64_t seed_;
   const MinHashFamilyKind family_;
+  const bool skewed_sizes_;
   Rng rng_;
   SetCollection sets_;
   std::vector<bool> live_;
@@ -824,6 +898,29 @@ TEST_P(DifferentialTest, ConcurrentChurnWithRebalanceSettlesToTheContract) {
   schedule.Run(/*writers=*/2, /*readers=*/2, /*ops_per_writer=*/25);
   if (::testing::Test::HasFatalFailure()) return;
   schedule.CheckSettled(8);
+}
+
+// The length-bound schedule: heavy-tailed set sizes (tiny, mid, spanned,
+// empty) so the verification length bound prunes often, through build,
+// churn and every executor — and the differential contract holds unchanged
+// while the bound is proven lossless against the exact oracle.
+TEST_P(DifferentialTest, SkewedSizesKeepTheLengthBoundLossless) {
+  const std::uint64_t seed = GetParam();
+  Workload w(seed, DifftestFamily(), /*skewed_sizes=*/true);
+  ASSERT_TRUE(w.BuildAll().ok()) << Repro(seed);
+  std::size_t pruned = 0;
+  w.CheckAll(w.MakeQueries(10));
+  if (::testing::Test::HasFatalFailure()) return;
+  pruned += w.CheckLengthBound(w.MakeQueries(16));
+  for (int round = 0; round < 2; ++round) {
+    w.Churn(30);
+    if (::testing::Test::HasFatalFailure()) return;
+    w.CheckAll(w.MakeQueries(8));
+    if (::testing::Test::HasFatalFailure()) return;
+    pruned += w.CheckLengthBound(w.MakeQueries(16));
+  }
+  EXPECT_GT(pruned, 0u) << "the skewed schedule must exercise the bound\n"
+                        << Repro(seed);
 }
 
 // One seed under every signing family, including the durability schedule:

@@ -82,7 +82,7 @@ TEST(ObservabilityIntegrationTest, QueryStatsAreRegistryDeltas) {
 
   struct Snapshot {
     std::uint64_t queries, bucket_accesses, bucket_pages, sids_scanned;
-    std::uint64_t sets_fetched, results, random_reads;
+    std::uint64_t sets_fetched, length_pruned, results, random_reads;
   };
   const auto snapshot = [&] {
     return Snapshot{
@@ -91,6 +91,7 @@ TEST(ObservabilityIntegrationTest, QueryStatsAreRegistryDeltas) {
         CounterValue("ssr_index_bucket_pages_total", scope),
         CounterValue("ssr_index_sids_scanned_total", scope),
         CounterValue("ssr_index_sets_fetched_total", scope),
+        CounterValue("ssr_index_length_pruned_total", scope),
         CounterValue("ssr_index_results_total", scope),
         CounterValue("ssr_io_random_reads_total", store_scope),
     };
@@ -109,6 +110,7 @@ TEST(ObservabilityIntegrationTest, QueryStatsAreRegistryDeltas) {
     EXPECT_EQ(after.bucket_pages - before.bucket_pages, stats.bucket_pages);
     EXPECT_EQ(after.sids_scanned - before.sids_scanned, stats.sids_scanned);
     EXPECT_EQ(after.sets_fetched - before.sets_fetched, stats.sets_fetched);
+    EXPECT_EQ(after.length_pruned - before.length_pruned, stats.length_pruned);
     EXPECT_EQ(after.results - before.results, stats.results);
     EXPECT_EQ(after.random_reads - before.random_reads,
               stats.io.random_reads);
@@ -116,8 +118,10 @@ TEST(ObservabilityIntegrationTest, QueryStatsAreRegistryDeltas) {
         up >= 1.0) {
       // [0, 1] needs no verification, hence no fetches.
       EXPECT_EQ(stats.sets_fetched, 0u);
+      EXPECT_EQ(stats.length_pruned, 0u);
     } else {
-      EXPECT_EQ(stats.sets_fetched, stats.candidates);
+      // Every candidate is either dropped by the length bound or fetched.
+      EXPECT_EQ(stats.sets_fetched + stats.length_pruned, stats.candidates);
     }
   }
 }

@@ -116,6 +116,19 @@ void CheckRebalancedMatchesFresh(std::uint32_t from, std::uint32_t to) {
   ShardedSetSimilarityIndex index = BuildAt(sets, from);
   index.EnableConcurrentWrites();
   ShardedSetSimilarityIndex fresh = BuildAt(sets, to);
+  // Queries whose σ1 lets the verification length bound bite: a moved
+  // set must carry its size into its new shard, so the pruning and fetch
+  // counts are the fresh build's — and the pre-rebalance index's, since
+  // candidate membership is a function of signatures alone.
+  Rng size_rng(99);
+  std::vector<ElementSet> sized_queries;
+  std::vector<std::pair<std::size_t, std::size_t>> before_counts;
+  for (int i = 0; i < 6; ++i) {
+    sized_queries.push_back(RandomSet(size_rng));
+    auto r = index.Query(sized_queries.back(), 0.6, 1.0);
+    ASSERT_TRUE(r.ok());
+    before_counts.emplace_back(r->stats.length_pruned, r->stats.sets_fetched);
+  }
 
   ASSERT_TRUE(index.RebalanceTo(to).ok());
   EXPECT_EQ(index.num_shards(), to);
@@ -142,6 +155,28 @@ void CheckRebalancedMatchesFresh(std::uint32_t from, std::uint32_t to) {
     EXPECT_EQ(a->sids, b->sids) << "query " << i;
     EXPECT_FALSE(a->partial);
     EXPECT_FALSE(a->rebalancing);
+  }
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < sized_queries.size(); ++i) {
+    auto a = index.Query(sized_queries[i], 0.6, 1.0);
+    auto b = fresh.Query(sized_queries[i], 0.6, 1.0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->sids, b->sids);
+    EXPECT_EQ(a->stats.length_pruned, b->stats.length_pruned);
+    EXPECT_EQ(a->stats.sets_fetched, b->stats.sets_fetched);
+    EXPECT_EQ(a->stats.length_pruned, before_counts[i].first);
+    EXPECT_EQ(a->stats.sets_fetched, before_counts[i].second);
+    pruned += a->stats.length_pruned;
+  }
+  EXPECT_GT(pruned, 0u);
+  for (std::uint32_t s = 0; s < index.num_shards(); ++s) {
+    const std::vector<SetId> globals = index.global_of_local(s);
+    for (SetId local = 0; local < globals.size(); ++local) {
+      const auto size = index.shard_index(s)->set_size(local);
+      if (size.has_value()) {
+        EXPECT_EQ(*size, sets[globals[local]].size());
+      }
+    }
   }
   index.epoch_manager()->Quiesce();
 }

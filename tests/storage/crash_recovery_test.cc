@@ -189,6 +189,65 @@ TEST_F(CrashRecoveryTest, CheckpointRoundTripsBitIdentically) {
   EXPECT_EQ(rec->index->num_live_sets(), kInitialSets);
 }
 
+// Recovery rebuilds each sid's set size from two sources — the store's
+// record headers for checkpointed sids (the snapshot holds no sizes) and
+// the logged set for replayed inserts — and must land on the live index's
+// sizes, so the same queries prune, fetch and answer identically.
+TEST_F(CrashRecoveryTest, RecoveredIndexKeepsSetSizesAndPruning) {
+  Rng rng(0x51e5ULL);
+  SetStore store;
+  for (std::size_t i = 0; i < kInitialSets; ++i) {
+    ASSERT_TRUE(store.Add(RandomSet(rng)).ok());
+  }
+  auto built = SetSimilarityIndex::Build(store, TestLayout(),
+                                         TestIndexOptions());
+  ASSERT_TRUE(built.ok());
+  SetSimilarityIndex& index = built.value();
+  std::ostringstream ckpt_out;
+  ASSERT_TRUE(WriteIndexCheckpoint(index, /*stable_lsn=*/0, ckpt_out).ok());
+  std::ostringstream wal_out;
+  WalWriter wal(wal_out, kWalFirstLsn);
+  index.AttachWal(&wal);
+  for (std::size_t i = 0; i < 12; ++i) {
+    // Inserts of widely varying size, plus a few erases.
+    if (i % 4 == 3) {
+      ASSERT_TRUE(index.Erase(static_cast<SetId>(i)).ok());
+      ASSERT_TRUE(store.Delete(static_cast<SetId>(i)).ok());
+      continue;
+    }
+    ElementSet set;
+    const std::size_t n = 1 + rng.Uniform(i % 2 == 0 ? 8 : 600);
+    for (std::size_t e = 0; e < n; ++e) set.push_back(rng.Uniform(5000));
+    NormalizeSet(set);
+    auto sid = store.Add(set);
+    ASSERT_TRUE(sid.ok());
+    ASSERT_TRUE(index.Insert(*sid, set).ok());
+  }
+  index.AttachWal(nullptr);
+
+  std::istringstream ckpt_in(ckpt_out.str());
+  std::istringstream wal_in(wal_out.str());
+  auto rec = RecoverIndex(ckpt_in, &wal_in);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ASSERT_EQ(rec->index->ContentDigest(), index.ContentDigest());
+  for (SetId sid = 0; sid < kInitialSets + 12; ++sid) {
+    EXPECT_EQ(rec->index->set_size(sid), index.set_size(sid)) << sid;
+  }
+  std::size_t pruned = 0;
+  for (SetId sid = 0; sid < kInitialSets + 12; ++sid) {
+    auto set = store.Get(sid);
+    if (!set.ok()) continue;
+    auto a = index.Query(set.value(), 0.5, 1.0);
+    auto b = rec->index->Query(set.value(), 0.5, 1.0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->sids, b->sids);
+    EXPECT_EQ(a->stats.length_pruned, b->stats.length_pruned);
+    EXPECT_EQ(a->stats.sets_fetched, b->stats.sets_fetched);
+    pruned += a->stats.length_pruned;
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
 // The tentpole matrix: a crash can freeze the log at *any* byte. For every
 // prefix length the recovered index must be bit-identical to the reference
 // that applied exactly the ops whose frames fully landed — torn tails

@@ -20,7 +20,7 @@ TEST(HeapFileTest, AppendAndReadInline) {
   ASSERT_TRUE(loc.ok());
   EXPECT_FALSE(loc->is_spanned());
   SetId sid = kInvalidSetId;
-  auto read = file.Read(loc.value(), &sid, nullptr);
+  auto read = file.Read(loc.value(), &sid);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(sid, 7u);
   EXPECT_EQ(read.value(), set);
@@ -38,7 +38,7 @@ TEST(HeapFileTest, MultipleRecordsSharePages) {
   EXPECT_LE(file.num_pages(), 2u);
   for (SetId sid = 0; sid < 50; ++sid) {
     SetId got = kInvalidSetId;
-    auto read = file.Read(locs[sid], &got, nullptr);
+    auto read = file.Read(locs[sid], &got);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(got, sid);
     EXPECT_EQ(read.value(), MakeSet(5, sid * 10));
@@ -54,13 +54,15 @@ TEST(HeapFileTest, SpannedRecordRoundTrip) {
   EXPECT_TRUE(loc->is_spanned());
   EXPECT_GE(file.num_pages(), 4u);
   SetId sid = kInvalidSetId;
-  std::vector<PageId> touched;
-  auto read = file.Read(loc.value(), &sid, &touched);
+  auto read = file.Read(loc.value(), &sid);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(sid, 1u);
   EXPECT_EQ(read.value(), big);
-  EXPECT_EQ(touched.size(), (HeapFile::RecordBytes(2000) + kPageSize - 1) /
-                                kPageSize);
+  auto view = file.View(loc.value(), nullptr);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->first_page, loc->page);
+  EXPECT_EQ(view->num_pages,
+            (HeapFile::RecordBytes(2000) + kPageSize - 1) / kPageSize);
 }
 
 TEST(HeapFileTest, MixedInlineAndSpanned) {
@@ -69,9 +71,9 @@ TEST(HeapFileTest, MixedInlineAndSpanned) {
   auto big = file.Append(1, MakeSet(1500));
   auto small2 = file.Append(2, MakeSet(4, 77));
   ASSERT_TRUE(small1.ok() && big.ok() && small2.ok());
-  EXPECT_EQ(file.Read(small1.value(), nullptr, nullptr).value(), MakeSet(3));
-  EXPECT_EQ(file.Read(big.value(), nullptr, nullptr).value(), MakeSet(1500));
-  EXPECT_EQ(file.Read(small2.value(), nullptr, nullptr).value(),
+  EXPECT_EQ(file.Read(small1.value(), nullptr).value(), MakeSet(3));
+  EXPECT_EQ(file.Read(big.value(), nullptr).value(), MakeSet(1500));
+  EXPECT_EQ(file.Read(small2.value(), nullptr).value(),
             MakeSet(4, 77));
 }
 
@@ -105,21 +107,18 @@ TEST(HeapFileTest, ScanEarlyStop) {
 TEST(HeapFileTest, InvalidLocatorRejected) {
   HeapFile file;
   ASSERT_TRUE(file.Append(0, MakeSet(2)).ok());
-  EXPECT_FALSE(file.Read(RecordLocator{}, nullptr, nullptr).ok());
-  EXPECT_FALSE(
-      file.Read(RecordLocator{99, 0}, nullptr, nullptr).ok());
-  EXPECT_TRUE(file.Read(RecordLocator{0, 5}, nullptr, nullptr)
-                  .status()
-                  .IsNotFound());
+  EXPECT_FALSE(file.Read(RecordLocator{}, nullptr).ok());
+  EXPECT_FALSE(file.Read(RecordLocator{99, 0}, nullptr).ok());
+  EXPECT_TRUE(file.Read(RecordLocator{0, 5}, nullptr).status().IsNotFound());
 }
 
 TEST(HeapFileTest, PagesTouchedReportedForInline) {
   HeapFile file;
   auto loc = file.Append(0, MakeSet(3));
-  std::vector<PageId> touched;
-  ASSERT_TRUE(file.Read(loc.value(), nullptr, &touched).ok());
-  EXPECT_EQ(touched.size(), 1u);
-  EXPECT_EQ(touched[0], loc->page);
+  auto view = file.View(loc.value(), nullptr);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->num_pages, 1u);
+  EXPECT_EQ(view->first_page, loc->page);
 }
 
 TEST(HeapFileTest, RecordBytesFormula) {
@@ -143,7 +142,7 @@ TEST(HeapFileTest, StressRandomSizes) {
   EXPECT_EQ(file.num_records(), 300u);
   for (SetId sid = 0; sid < 300; ++sid) {
     SetId got = kInvalidSetId;
-    auto read = file.Read(records[sid].first, &got, nullptr);
+    auto read = file.Read(records[sid].first, &got);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     EXPECT_EQ(got, sid);
     EXPECT_EQ(read.value(), records[sid].second);
@@ -154,7 +153,7 @@ TEST(HeapFileTest, EmptySetRecord) {
   HeapFile file;
   auto loc = file.Append(5, {});
   ASSERT_TRUE(loc.ok());
-  auto read = file.Read(loc.value(), nullptr, nullptr);
+  auto read = file.Read(loc.value(), nullptr);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read.value().empty());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/set_ops.h"
 
@@ -117,6 +118,73 @@ TEST(SetStoreTest, SpannedSetsRoundTripThroughStore) {
   auto got = store.Get(sid);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), big);
+}
+
+// The verification fetch computes Jaccard against the record bytes in
+// place. It must agree bit for bit with Jaccard over Get, and charge the
+// pool, the I/O model and the gets counter exactly as Get does — for
+// slotted records, spanned ones (scratch path) and the empty set.
+TEST(SetStoreTest, SimilarityToMatchesGetAndChargesLikeIt) {
+  SetStoreOptions options;
+  options.buffer_pool_pages = 2;
+  SetStore store(options);
+  std::vector<ElementSet> sets = {MakeSet(40), MakeSet(700, 20), {},
+                                  MakeSet(1500, 5), MakeSet(3, 30)};
+  std::vector<SetId> sids;
+  for (const ElementSet& s : sets) sids.push_back(store.Add(s).value());
+  const std::vector<ElementSet> queries = {MakeSet(40, 10), MakeSet(800),
+                                           {}, MakeSet(3, 30)};
+  obs::Counter* gets = obs::MetricsRegistry::Default().GetCounter(
+      "ssr_store_gets_total", store.metrics_scope());
+  for (const ElementSet& q : queries) {
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      store.ResetIoAccounting();
+      auto set = store.Get(sids[i]);
+      ASSERT_TRUE(set.ok());
+      const IoStats get_io = store.io().stats();
+      const BufferPoolStats get_pool = store.buffer_pool().stats();
+
+      store.ResetIoAccounting();
+      const std::uint64_t gets_before = gets->value();
+      auto sim = store.SimilarityTo(sids[i], q);
+      ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+      EXPECT_EQ(sim.value(), Jaccard(q, set.value())) << "set " << i;
+      EXPECT_EQ(gets->value() - gets_before, 1u);
+      EXPECT_EQ(store.io().stats().random_reads, get_io.random_reads);
+      EXPECT_EQ(store.buffer_pool().stats().misses, get_pool.misses);
+    }
+  }
+  // A view reuses one scratch buffer across spanned records of different
+  // sizes; every answer still matches.
+  SetStore::ReadView view(store);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      auto sim = view.SimilarityTo(sids[i], queries[1]);
+      ASSERT_TRUE(sim.ok());
+      EXPECT_EQ(sim.value(), Jaccard(queries[1], sets[i]));
+    }
+  }
+  ASSERT_TRUE(store.Delete(sids[1]).ok());
+  EXPECT_TRUE(store.SimilarityTo(sids[1], queries[0]).status().IsNotFound());
+  EXPECT_TRUE(view.SimilarityTo(99, queries[0]).status().IsNotFound());
+}
+
+TEST(SetStoreTest, RecordSizeReadsTheHeaderWithoutCharging) {
+  SetStore store;
+  const std::vector<ElementSet> sets = {MakeSet(12), MakeSet(900), {}};
+  std::vector<SetId> sids;
+  for (const ElementSet& s : sets) sids.push_back(store.Add(s).value());
+  store.ResetIoAccounting();
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    auto size = store.RecordSize(sids[i]);
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(size.value(), sets[i].size());
+  }
+  EXPECT_EQ(store.io().stats().random_reads, 0u);
+  EXPECT_EQ(store.buffer_pool().stats().misses, 0u);
+  ASSERT_TRUE(store.Delete(sids[0]).ok());
+  EXPECT_TRUE(store.RecordSize(sids[0]).status().IsNotFound());
+  EXPECT_TRUE(store.RecordSize(1234).status().IsNotFound());
 }
 
 TEST(SetStoreTest, AvgSetPagesReflectsSizes) {

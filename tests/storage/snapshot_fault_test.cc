@@ -285,7 +285,7 @@ TEST_F(SnapshotFaultTest, SalvageQuarantinesCorruptPage) {
   EXPECT_EQ(visited, 200u - expected_lost);
 
   file.Scan([&](SetId, const ElementSet&, const RecordLocator& loc) {
-    const Status s = loaded->Read(loc, nullptr, nullptr).status();
+    const Status s = loaded->Read(loc, nullptr).status();
     if (loc.page == 0) {
       EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
     } else {
@@ -298,8 +298,59 @@ TEST_F(SnapshotFaultTest, SalvageQuarantinesCorruptPage) {
   auto appended = loaded->Append(200, {11, 22, 33});
   ASSERT_TRUE(appended.ok());
   EXPECT_NE(appended->page, 0u);
-  EXPECT_EQ(loaded->Read(*appended, nullptr, nullptr).value(),
+  EXPECT_EQ(loaded->Read(*appended, nullptr).value(),
             (ElementSet{11, 22, 33}));
+}
+
+// The in-place view the verification fetch uses must fail exactly where
+// Read fails on a salvaged file — DataLoss for a quarantined slotted page
+// and for a spanned record crossing one — and agree with Read elsewhere,
+// with and without a scratch buffer.
+TEST_F(SnapshotFaultTest, SalvagedFileFailsInPlaceViewsLikeReads) {
+  std::vector<ElementSet> sets;
+  HeapFile file = BuildHeapFile(&sets);
+  ElementSet big;
+  for (ElementId e = 0; e < 1500; ++e) big.push_back(7 * e);
+  const RecordLocator spanned = file.Append(200, big).value();
+  ASSERT_TRUE(spanned.is_spanned());
+  std::string bytes = Serialize(file);
+  bytes[PageDataOffset(bytes, file.num_pages(), 0) + 100] ^= 0x01;
+  bytes[PageDataOffset(bytes, file.num_pages(), spanned.page + 1) + 8] ^= 0x01;
+
+  SnapshotLoadOptions options;
+  options.salvage = true;
+  std::stringstream in(bytes);
+  auto loaded = HeapFile::LoadFrom(in, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  std::vector<RecordLocator> locators;
+  file.Scan([&](SetId, const ElementSet&, const RecordLocator& loc) {
+    locators.push_back(loc);
+    return true;
+  });
+  std::vector<std::uint8_t> scratch;
+  std::size_t lost = 0;
+  for (const RecordLocator& loc : locators) {
+    SetId sid = kInvalidSetId;
+    auto read = loaded->Read(loc, &sid);
+    for (auto* buffer : {&scratch, static_cast<std::vector<std::uint8_t>*>(
+                                       nullptr)}) {
+      auto view = loaded->View(loc, buffer);
+      ASSERT_EQ(view.status().code(), read.status().code())
+          << view.status().ToString() << " vs " << read.status().ToString();
+      if (!read.ok()) continue;
+      EXPECT_EQ(view->sid, sid);
+      EXPECT_EQ(view->count, read->size());
+      if (buffer == nullptr && loc.is_spanned()) continue;
+      EXPECT_EQ(JaccardRaw(read.value(), view->elements, view->count), 1.0);
+    }
+    if (!read.ok()) {
+      EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+      ++lost;
+    }
+  }
+  EXPECT_GT(lost, 1u);  // page-0 records and the spanned record
+  EXPECT_TRUE(loaded->View(spanned, &scratch).status().IsDataLoss());
 }
 
 TEST_F(SnapshotFaultTest, SalvageRecoversFromTruncatedPagesSection) {

@@ -1,5 +1,8 @@
 #include "util/set_ops.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -105,6 +108,30 @@ TEST(SetOpsTest, IntersectionSizeAgreesWithBruteForce) {
     }
     EXPECT_EQ(IntersectionSize(a, b), brute);
   }
+}
+
+// The in-place verify reads record bytes at arbitrary alignment; its
+// Jaccard must be bit-identical to the decoded one, empties included.
+TEST(SetOpsTest, JaccardRawMatchesJaccardAtAnyAlignment) {
+  Rng rng(42);
+  std::vector<std::uint8_t> bytes;
+  for (int trial = 0; trial < 200; ++trial) {
+    ElementSet a, b;
+    const std::size_t na = trial % 7 == 0 ? 0 : rng.Uniform(60);
+    const std::size_t nb = trial % 5 == 0 ? 0 : rng.Uniform(60);
+    for (std::size_t i = 0; i < na; ++i) a.push_back(rng.Uniform(100));
+    for (std::size_t i = 0; i < nb; ++i) b.push_back(rng.Uniform(100));
+    NormalizeSet(a);
+    NormalizeSet(b);
+    const std::size_t misalign = static_cast<std::size_t>(trial % 8);
+    bytes.assign(misalign + 8 * b.size() + 1, 0xab);
+    if (!b.empty()) {
+      std::memcpy(bytes.data() + misalign, b.data(), 8 * b.size());
+    }
+    const double raw = JaccardRaw(a, bytes.data() + misalign, b.size());
+    EXPECT_EQ(raw, Jaccard(a, b)) << "trial " << trial;
+  }
+  EXPECT_EQ(JaccardRaw({}, nullptr, 0), 1.0);
 }
 
 }  // namespace

@@ -145,35 +145,11 @@ void SetSimilarityIndex::FreeEntries() {
 
 SetSimilarityIndex::~SetSimilarityIndex() { FreeEntries(); }
 
+// Moves happen only while singly-owned, so construction can simply
+// delegate to assignment: every member is set there.
 SetSimilarityIndex::SetSimilarityIndex(SetSimilarityIndex&& other) noexcept
-    : store_(other.store_),
-      layout_(std::move(other.layout_)),
-      options_(std::move(other.options_)),
-      embedding_(std::move(other.embedding_)),
-      fis_(std::move(other.fis_)),
-      entries_(std::move(other.entries_)),
-      capacity_(other.capacity_.load(std::memory_order_relaxed)),
-      num_live_(other.num_live_.load(std::memory_order_relaxed)),
-      epoch_manager_(other.epoch_manager_),
-      build_stats_(other.build_stats_),
-      workload_observer_(other.workload_observer_),
-      wal_(other.wal_),
-      queries_(other.queries_),
-      bucket_accesses_(other.bucket_accesses_),
-      bucket_pages_(other.bucket_pages_),
-      sids_scanned_(other.sids_scanned_),
-      sets_fetched_(other.sets_fetched_),
-      length_pruned_(other.length_pruned_),
-      results_(other.results_),
-      probe_failures_(other.probe_failures_),
-      fetch_failures_(other.fetch_failures_),
-      degraded_queries_(other.degraded_queries_),
-      seqscan_fallbacks_(other.seqscan_fallbacks_),
-      live_sets_(other.live_sets_),
-      candidates_hist_(other.candidates_hist_),
-      latency_hist_(other.latency_hist_) {
-  other.capacity_.store(0, std::memory_order_relaxed);
-  other.num_live_.store(0, std::memory_order_relaxed);
+    : store_(other.store_) {
+  *this = std::move(other);
 }
 
 SetSimilarityIndex& SetSimilarityIndex::operator=(
@@ -935,98 +911,59 @@ Result<SetSimilarityIndex> SetSimilarityIndex::Load(
   return index;
 }
 
-Result<QueryResult> SetSimilarityIndex::QueryCandidates(
-    const ElementSet& query, double sigma1, double sigma2) const {
+Status SetSimilarityIndex::ValidateQuery(const ElementSet& query,
+                                         double sigma1, double sigma2) {
   if (!(sigma1 >= 0.0 && sigma1 <= sigma2 && sigma2 <= 1.0)) {
     return Status::InvalidArgument("require 0 <= sigma1 <= sigma2 <= 1");
   }
   if (!IsNormalizedSet(query)) {
     return Status::InvalidArgument("query set must be sorted and unique");
   }
+  return Status::OK();
+}
+
+Result<QueryResult> SetSimilarityIndex::Query(const ElementSet& query,
+                                              double sigma1,
+                                              double sigma2) const {
+  SSR_RETURN_IF_ERROR(ValidateQuery(query, sigma1, sigma2));
+  return QueryImpl(query, /*sig=*/nullptr, sigma1, sigma2, /*view=*/nullptr,
+                   /*scratch=*/nullptr, /*verify=*/true);
+}
+
+Result<QueryResult> SetSimilarityIndex::QueryCandidates(
+    const ElementSet& query, double sigma1, double sigma2) const {
+  SSR_RETURN_IF_ERROR(ValidateQuery(query, sigma1, sigma2));
+  return QueryImpl(query, /*sig=*/nullptr, sigma1, sigma2, /*view=*/nullptr,
+                   /*scratch=*/nullptr, /*verify=*/false);
+}
+
+Result<QueryResult> SetSimilarityIndex::QueryThrough(
+    SetStore::ReadView& view, const ElementSet& query, double sigma1,
+    double sigma2, std::vector<SetId>* scratch) const {
+  SSR_RETURN_IF_ERROR(ValidateQuery(query, sigma1, sigma2));
+  return QueryImpl(query, /*sig=*/nullptr, sigma1, sigma2, &view, scratch,
+                   /*verify=*/true);
+}
+
+Result<QueryResult> SetSimilarityIndex::QuerySigned(
+    const ElementSet& query, const Signature& sig, double sigma1,
+    double sigma2, SetStore::ReadView* view,
+    std::vector<SetId>* scratch) const {
+  return QueryImpl(query, &sig, sigma1, sigma2, view, scratch,
+                   /*verify=*/true);
+}
+
+Result<QueryResult> SetSimilarityIndex::QueryImpl(
+    const ElementSet& query, const Signature* sig, double sigma1,
+    double sigma2, SetStore::ReadView* view, std::vector<SetId>* scratch,
+    bool verify) const {
   // Pin an epoch for the query's whole lifetime: every bucket, directory,
   // or signature version loaded below stays allocated until the guard
   // drops, whatever concurrent writers retire meanwhile.
   std::optional<exec::EpochGuard> epoch_guard;
   if (epoch_manager_ != nullptr) epoch_guard.emplace(*epoch_manager_);
   Stopwatch watch;
-  obs::TraceSpan root("query_candidates");
-  IoCostModel& io = store_->io();
-  const IoStats io_before = io.stats();
-  queries_->Increment();
-  QueryResult result;
-  Signature sig;
-  {
-    obs::TraceSpan embed("embed");
-    sig = embedding_->Sign(query);
-  }
-  bool additive_loss = false;
-  {
-    obs::TraceSpan plan("plan");
-    ComputeCandidates(sig, sigma1, sigma2, &result.stats, &additive_loss, io,
-                      &result.sids);
-  }
-  if (result.stats.degraded &&
-      options_.degrade == DegradeMode::kFailFast) {
-    return Status::Unavailable("filter probe failed (fail-fast)");
-  }
-  if (additive_loss &&
-      options_.degrade == DegradeMode::kSequentialFallback) {
-    // Candidates may be missing true positives; the sound fallback is the
-    // full live-sid superset (verification downstream removes the extra
-    // false positives).
-    obs::TraceSpan fallback("degraded_scan");
-    seqscan_fallbacks_->Increment();
-    LiveSids(&result.sids);
-  }
-  if (result.stats.degraded) degraded_queries_->Increment();
-  result.stats.candidates = result.sids.size();
-  result.stats.results = result.sids.size();
-  candidates_hist_->Observe(static_cast<double>(result.sids.size()));
-  result.stats.io = io.stats() - io_before;
-  FinishStats(watch, &result.stats);
-  root.Tag("plan", QueryPlanKindName(result.stats.plan));
-  root.Tag("candidates", static_cast<std::uint64_t>(result.stats.candidates));
-  if (result.stats.degraded) root.Tag("degraded", std::uint64_t{1});
-  if (workload_observer_ != nullptr) {
-    // Candidate-only queries count toward the workload shape but are not
-    // offered to the sampled channels: candidates are not verified answers.
-    workload_observer_->CountQuery(sigma1, sigma2, query.size());
-    for (const auto& p : result.stats.fi_probes) {
-      workload_observer_->CountFiProbe(p.fi, p.bucket_accesses, p.sids,
-                                       p.failed);
-    }
-    workload_observer_->UpdateGauges();
-  }
-  return result;
-}
-
-Result<QueryResult> SetSimilarityIndex::Query(const ElementSet& query,
-                                              double sigma1,
-                                              double sigma2) const {
-  return QueryImpl(query, sigma1, sigma2, /*view=*/nullptr,
-                   /*scratch=*/nullptr);
-}
-
-Result<QueryResult> SetSimilarityIndex::QueryThrough(
-    SetStore::ReadView& view, const ElementSet& query, double sigma1,
-    double sigma2, std::vector<SetId>* scratch) const {
-  return QueryImpl(query, sigma1, sigma2, &view, scratch);
-}
-
-Result<QueryResult> SetSimilarityIndex::QueryImpl(
-    const ElementSet& query, double sigma1, double sigma2,
-    SetStore::ReadView* view, std::vector<SetId>* scratch) const {
-  if (!(sigma1 >= 0.0 && sigma1 <= sigma2 && sigma2 <= 1.0)) {
-    return Status::InvalidArgument("require 0 <= sigma1 <= sigma2 <= 1");
-  }
-  if (!IsNormalizedSet(query)) {
-    return Status::InvalidArgument("query set must be sorted and unique");
-  }
-  // Pin an epoch for the query's whole lifetime (see QueryCandidates).
-  std::optional<exec::EpochGuard> epoch_guard;
-  if (epoch_manager_ != nullptr) epoch_guard.emplace(*epoch_manager_);
-  Stopwatch watch;
-  obs::TraceSpan root("query");
+  obs::TraceSpan root(verify ? "query" : "query_candidates");
   // All I/O this query causes — bucket probes, candidate fetches, a
   // degraded scan — lands on one model: the store's (serial path) or the
   // worker's private view (concurrent path). Its delta is this query's io.
@@ -1034,22 +971,28 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   const IoStats io_before = io.stats();
   queries_->Increment();
   QueryResult result;
-  Signature sig;
-  {
+  Signature own_sig;
+  if (sig == nullptr) {
     obs::TraceSpan embed("embed");
-    sig = embedding_->Sign(query);
+    own_sig = embedding_->Sign(query);
+    sig = &own_sig;
   }
+  // Candidate mode plans straight into the answer; verification plans into
+  // a scratch buffer and keeps only the survivors.
   std::vector<SetId> local_candidates;
   std::vector<SetId>& candidates =
-      scratch != nullptr ? *scratch : local_candidates;
+      !verify ? result.sids
+              : (scratch != nullptr ? *scratch : local_candidates);
   bool additive_loss = false;
   {
     obs::TraceSpan plan("plan");
-    ComputeCandidates(sig, sigma1, sigma2, &result.stats, &additive_loss, io,
-                      &candidates);
+    ComputeCandidates(*sig, sigma1, sigma2, &result.stats, &additive_loss,
+                      io, &candidates);
   }
-  result.stats.candidates = candidates.size();
-  candidates_hist_->Observe(static_cast<double>(candidates.size()));
+  if (verify) {
+    result.stats.candidates = candidates.size();
+    candidates_hist_->Observe(static_cast<double>(candidates.size()));
+  }
 
   if (result.stats.degraded &&
       options_.degrade == DegradeMode::kFailFast) {
@@ -1063,9 +1006,21 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   const double lower = sigma1 - kEps;
   const double upper = sigma2 + kEps;
 
-  if (!need_full_scan &&
-      result.stats.plan == QueryPlanKind::kFullCollection && sigma1 <= 0.0 &&
-      sigma2 >= 1.0) {
+  if (!verify) {
+    // Candidate mode: no length pruning, no verification. A lossy set
+    // widens to the live-sid superset instead of a full scan (a downstream
+    // verification removes the extra false positives), counted after it.
+    if (need_full_scan) {
+      obs::TraceSpan fallback("degraded_scan");
+      seqscan_fallbacks_->Increment();
+      LiveSids(&result.sids);
+      need_full_scan = false;
+    }
+    result.stats.candidates = result.sids.size();
+    candidates_hist_->Observe(static_cast<double>(result.sids.size()));
+  } else if (!need_full_scan &&
+             result.stats.plan == QueryPlanKind::kFullCollection &&
+             sigma1 <= 0.0 && sigma2 >= 1.0) {
     // [0, 1] covers every set by definition; no verification needed. Any
     // narrower range that still fell through to the full-collection plan
     // (no enclosing filter points) must be verified like any other.
@@ -1078,7 +1033,7 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     // (LengthBound). A sid erased since probing has no entry: it is not
     // pruned, and the fetch below reports whatever the store holds.
     // Survivors are verified against the record bytes in place.
-    obs::TraceSpan verify("verify");
+    obs::TraceSpan verify_span("verify");
     bool fail_fast = false;
     for (SetId sid : candidates) {
       const Entry* entry = entries_.Get(sid);
@@ -1113,10 +1068,10 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
     }
     sets_fetched_->Add(result.stats.sets_fetched);
     length_pruned_->Add(result.stats.length_pruned);
-    verify.Tag("fetched",
-               static_cast<std::uint64_t>(result.stats.sets_fetched));
-    verify.Tag("length_pruned",
-               static_cast<std::uint64_t>(result.stats.length_pruned));
+    verify_span.Tag("fetched",
+                    static_cast<std::uint64_t>(result.stats.sets_fetched));
+    verify_span.Tag("length_pruned",
+                    static_cast<std::uint64_t>(result.stats.length_pruned));
     if (fail_fast) {
       return Status::Unavailable("candidate fetch failed (fail-fast)");
     }
@@ -1145,36 +1100,40 @@ Result<QueryResult> SetSimilarityIndex::QueryImpl(
   }
   if (result.stats.degraded) degraded_queries_->Increment();
   result.stats.io = io.stats() - io_before;
-  FinishStats(watch, &result.stats);
-  results_->Add(result.sids.size());
+  result.stats.io_seconds =
+      result.stats.io.SimulatedSeconds(store_->io().params());
+  result.stats.cpu_seconds = watch.ElapsedSeconds();
+  latency_hist_->Observe(result.stats.cpu_seconds * 1e6);
   result.stats.results = result.sids.size();
+  if (verify) results_->Add(result.sids.size());
   root.Tag("plan", QueryPlanKindName(result.stats.plan));
-  root.Tag("lo", result.stats.lo_point);
-  root.Tag("up", result.stats.up_point);
+  if (verify) {
+    root.Tag("lo", result.stats.lo_point);
+    root.Tag("up", result.stats.up_point);
+  }
   root.Tag("candidates", static_cast<std::uint64_t>(result.stats.candidates));
-  root.Tag("results", static_cast<std::uint64_t>(result.stats.results));
+  if (verify) {
+    root.Tag("results", static_cast<std::uint64_t>(result.stats.results));
+  }
   if (result.stats.degraded) root.Tag("degraded", std::uint64_t{1});
   if (view == nullptr && workload_observer_ != nullptr) {
     // Serial-path workload capture. Concurrent callers (QueryThrough) are
     // deliberately excluded: their executors own per-worker observers fed
     // from the returned QueryStats, so nothing is double counted.
+    // Candidates are not verified answers, so they count toward the
+    // workload shape but are not offered to the sampled channels.
     workload_observer_->CountQuery(sigma1, sigma2, query.size());
     for (const auto& p : result.stats.fi_probes) {
       workload_observer_->CountFiProbe(p.fi, p.bucket_accesses, p.sids,
                                        p.failed);
     }
-    workload_observer_->OfferSample(query, sigma1, sigma2, result.sids,
-                                    result.stats.candidates);
+    if (verify) {
+      workload_observer_->OfferSample(query, sigma1, sigma2, result.sids,
+                                      result.stats.candidates);
+    }
     workload_observer_->UpdateGauges();
   }
   return result;
-}
-
-void SetSimilarityIndex::FinishStats(const Stopwatch& watch,
-                                     QueryStats* stats) const {
-  stats->io_seconds = stats->io.SimulatedSeconds(store_->io().params());
-  stats->cpu_seconds = watch.ElapsedSeconds();
-  latency_hist_->Observe(stats->cpu_seconds * 1e6);
 }
 
 std::uint64_t SetSimilarityIndex::ContentDigest() const {

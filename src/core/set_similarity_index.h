@@ -213,6 +213,20 @@ class SetSimilarityIndex {
                                    double sigma2,
                                    std::vector<SetId>* scratch = nullptr) const;
 
+  /// InvalidArgument unless 0 <= σ1 <= σ2 <= 1 and `query` is sorted and
+  /// duplicate-free. Every query entry point checks this once, up front.
+  static Status ValidateQuery(const ElementSet& query, double sigma1,
+                              double sigma2);
+
+  /// Query (`view` null) or QueryThrough from a signature computed once
+  /// for many indexes: it depends only on the set and the EmbeddingParams,
+  /// so a sharded scatter signs once for every shard. Requires an OK
+  /// ValidateQuery and `sig` == Sign(query) under equal params.
+  Result<QueryResult> QuerySigned(const ElementSet& query,
+                                  const Signature& sig, double sigma1,
+                                  double sigma2, SetStore::ReadView* view,
+                                  std::vector<SetId>* scratch = nullptr) const;
+
   /// Dynamic maintenance (Section 4.3 notes hash indices are fully
   /// dynamic): registers a set already added to the store under `sid`.
   Status Insert(SetId sid, const ElementSet& set);
@@ -362,16 +376,16 @@ class SetSimilarityIndex {
                  QueryStats* stats, IoCostModel& io,
                  std::vector<SetId>* out) const;
 
-  /// Shared implementation of Query and QueryThrough. `view` == nullptr is
-  /// the serial path (store fetches, store I/O delta); non-null is the
-  /// concurrent path (view fetches, view I/O delta). `scratch` may be null.
-  Result<QueryResult> QueryImpl(const ElementSet& query, double sigma1,
-                                double sigma2, SetStore::ReadView* view,
-                                std::vector<SetId>* scratch) const;
-
-  /// Fills the timing fields of `stats` from the query stopwatch and the
-  /// accumulated I/O delta.
-  void FinishStats(const Stopwatch& watch, QueryStats* stats) const;
+  /// The one query pipeline (Query, QueryCandidates, QueryThrough,
+  /// QuerySigned) for a validated query: pin, plan, probe, degrade, then
+  /// verify unless `verify` is off. A null `sig` signs inside the root
+  /// span. `view` == nullptr is the serial path (store fetches and I/O,
+  /// workload observer); non-null the concurrent one. `scratch` may be null.
+  Result<QueryResult> QueryImpl(const ElementSet& query, const Signature* sig,
+                                double sigma1, double sigma2,
+                                SetStore::ReadView* view,
+                                std::vector<SetId>* scratch,
+                                bool verify) const;
 
   /// All currently live sids, sorted, into `*out` (cleared first).
   void LiveSids(std::vector<SetId>* out) const;

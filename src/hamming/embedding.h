@@ -32,6 +32,9 @@ namespace ssr {
 struct EmbeddingParams {
   MinHashParams minhash;
   CodeKind code_kind = CodeKind::kHadamard;
+
+  /// Equal params sign every set identically (Sign is deterministic).
+  bool operator==(const EmbeddingParams& other) const = default;
 };
 
 /// Immutable embedding pipeline shared by index build and query processing.

@@ -13,6 +13,8 @@
 namespace ssr {
 namespace shard {
 
+using ShardReply = ShardedSetSimilarityIndex::ShardReply;
+
 QueryRouter::QueryRouter(const ShardedSetSimilarityIndex& index,
                          QueryRouterOptions options)
     : index_(&index),
@@ -71,8 +73,8 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
   } latency_guard{Stopwatch(), query_latency_};
 
   // Pin an epoch for the whole scatter/gather: shard slots and routing
-  // tables loaded here stay dereferenceable even if a concurrent rebalance
-  // retires them mid-query. Workers pin their own epochs below.
+  // tables loaded here — or by the workers, which finish before it drops —
+  // stay dereferenceable even if a concurrent rebalance retires them.
   std::optional<exec::EpochGuard> epoch_guard;
   if (index_->epoch_manager() != nullptr) {
     epoch_guard.emplace(*index_->epoch_manager());
@@ -81,91 +83,51 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
   obs::TraceSpan span("router_query");
   span.Tag("shards", static_cast<std::uint64_t>(num_shards));
   span.Tag("workers", static_cast<std::uint64_t>(pool_.size()));
+  // Validated and signed once; a malformed query never reaches a shard.
+  Signature sig;
+  SSR_ASSIGN_OR_RETURN(sig, index_->SignQuery(query, sigma1, sigma2));
+  const bool rebalancing = index_->rebalancing();
 
-  // Scatter: every healthy shard is probed concurrently through its own
-  // ReadView (private buffer pool + I/O model), so the only shared state
-  // the workers touch is read-only index structure. Slots are per-shard,
-  // so writes are index-disjoint.
-  std::vector<QueryResult> answers(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  std::vector<char> answered(num_shards, 0);
-  std::vector<char> retired(num_shards, 0);
+  // Scatter, the routed runner: every healthy shard answers concurrently
+  // through its own ReadView (private buffer pool + I/O model), so the
+  // only shared state the workers touch is read-only index structure.
+  // Replies are per-shard, so writes are index-disjoint.
+  std::vector<ShardReply> replies(num_shards);
   {
     obs::TraceSpan scatter("router_scatter");
     pool_.ParallelFor(0, num_shards, 1, [&](std::size_t s, std::size_t) {
-      // The worker's own pin: the shard pointers it loads stay valid even
-      // if a shrink retires the shard before the probe finishes.
-      std::optional<exec::EpochGuard> worker_guard;
-      if (index_->epoch_manager() != nullptr) {
-        worker_guard.emplace(*index_->epoch_manager());
-      }
-      const SetStore* store =
-          index_->shard_store(static_cast<std::uint32_t>(s));
-      const SetSimilarityIndex* shard_index =
-          index_->shard_index(static_cast<std::uint32_t>(s));
-      if (store == nullptr || shard_index == nullptr ||
-          index_->shard_degraded(static_cast<std::uint32_t>(s))) {
-        // A slot nulled by a completed shrink is not a failed shard: the
-        // shard was provably empty when retired, so it is skipped (and
-        // tagged at gather) instead of tripping the failure policy.
-        if (index_->shard_retired(static_cast<std::uint32_t>(s))) {
-          retired[s] = 1;
-          return;
-        }
-        statuses[s] = Status::Unavailable("shard administratively degraded");
-        return;
-      }
-      Stopwatch probe_watch;
-      SetStore::ReadView view(*store, options_.view_buffer_pool_pages);
-      std::vector<SetId> scratch;
-      auto r = shard_index->QueryThrough(view, query, sigma1, sigma2,
-                                         &scratch);
-      // Shards added by a grow rebalance after router construction have no
-      // histogram slot; their latency is uncounted until a new router.
-      if (s < shard_latency_.size()) {
-        shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
-      }
-      if (r.ok()) {
-        answers[s] = std::move(r).value();
-        answered[s] = 1;
-      } else {
-        statuses[s] = r.status();
-      }
+      replies[s] = index_->RunShard(
+          static_cast<std::uint32_t>(s),
+          [&](const SetStore& store, const SetSimilarityIndex& shard_index) {
+            Stopwatch probe_watch;
+            SetStore::ReadView view(store, options_.view_buffer_pool_pages);
+            std::vector<SetId> scratch;
+            auto r = shard_index.QuerySigned(query, sig, sigma1, sigma2,
+                                             &view, &scratch);
+            // Shards added by a grow rebalance after router construction
+            // have no histogram slot; their latency is uncounted until a
+            // new router.
+            if (s < shard_latency_.size()) {
+              shard_latency_[s]->Observe(probe_watch.ElapsedSeconds() * 1e6);
+            }
+            return r;
+          });
     });
   }
 
   // Gather in shard order — deterministic regardless of which worker
   // finished when.
   obs::TraceSpan gather("router_gather");
-  ShardedQueryResult result;
-  result.per_shard.resize(num_shards);
-  result.shard_status.assign(num_shards, Status::OK());
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (answered[s]) {
-      index_->GatherShardAnswer(s, std::move(answers[s]), &result);
-      continue;
-    }
-    if (retired[s]) {
-      // Shrink finished mid-scatter: nothing was dropped (the shard was
-      // empty), but the overlap can hide a moved sid — conservative tag,
-      // same contract as a query under an active rebalance.
-      result.rebalancing = true;
-      result.partial = true;
-      continue;
-    }
-    // A malformed query is the caller's bug, not a shard failure: every
-    // shard rejects identically, so propagate instead of degrading.
-    if (statuses[s].IsInvalidArgument()) return statuses[s];
-    SSR_RETURN_IF_ERROR(
-        index_->GatherShardFailure(s, std::move(statuses[s]), &result));
-  }
-  index_->FinishGather(&result);
-  if (result.partial) partials->Increment();
+  auto result = index_->GatherShards(
+      num_shards, rebalancing,
+      [&](std::uint32_t s) { return std::move(replies[s]); });
+  if (!result.ok()) return result.status();
+  if (result->partial) partials->Increment();
   if (options_.workload_observer != nullptr) {
-    ObserveRoutedAnswer(query, sigma1, sigma2, result);
+    ObserveRoutedAnswer(query, sigma1, sigma2, *result);
     options_.workload_observer->UpdateGauges();
   }
-  span.Tag("results", static_cast<std::uint64_t>(result.sids.size()));
+  span.Tag("results", static_cast<std::uint64_t>(result->sids.size()));
   return result;
 }
 
@@ -186,6 +148,7 @@ RoutedBatchResult QueryRouter::RunBatch(
     epoch_guard.emplace(*index_->epoch_manager());
   }
   const std::uint32_t num_shards = index_->num_shards();
+  const bool rebalancing = index_->rebalancing();
   Stopwatch wall;
   obs::TraceSpan span("router_batch");
   span.Tag("queries", static_cast<std::uint64_t>(queries.size()));
@@ -194,82 +157,77 @@ RoutedBatchResult QueryRouter::RunBatch(
   RoutedBatchResult out;
   out.queries = queries.size();
   out.threads_used = pool_.size();
-  out.statuses.assign(queries.size(), Status::OK());
+  out.statuses.resize(queries.size());
   out.results.resize(queries.size());
   out.per_shard.resize(num_shards);
-
-  // Scatter: each shard runs the whole batch through a BatchExecutor on
-  // the router's shared pool. Shard batches execute one after another on
-  // this host (the pool is not reentrant), but deploy to one machine per
-  // shard — the modeled makespan below is the slowest shard, not the sum.
-  std::vector<char> shard_ran(num_shards, 0);
-  std::vector<char> shard_retired(num_shards, 0);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    const SetSimilarityIndex* shard_index = index_->shard_index(s);
-    if (shard_index == nullptr || index_->shard_degraded(s)) {
-      // Retired by a completed shrink vs. genuinely degraded: the former
-      // is skipped silently (it was empty), the latter per failure policy.
-      if (index_->shard_retired(s)) shard_retired[s] = 1;
-      continue;
-    }
-    obs::TraceSpan shard_span("router_shard_batch");
-    shard_span.Tag("shard", static_cast<std::uint64_t>(s));
-    exec::BatchExecutorOptions exec_options;
-    exec_options.grain = options_.batch_grain;
-    exec_options.view_buffer_pool_pages = options_.view_buffer_pool_pages;
-    exec::BatchExecutor executor(*shard_index, pool_, exec_options);
-    out.per_shard[s] = executor.Run(queries);
-    // One observation per batch: the shard's host wall clock, the honest
-    // per-shard figure the latency histogram tracks in batch mode. Shards
-    // grown after router construction have no histogram slot.
-    if (s < shard_latency_.size()) {
-      shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);
-    }
-    shard_ran[s] = 1;
-    out.modeled_makespan_seconds =
-        std::max(out.modeled_makespan_seconds,
-                 out.per_shard[s].modeled_makespan_seconds);
+  // Validated before the scatter: a malformed query fails alone, whatever
+  // the shards make of it.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    out.statuses[i] = SetSimilarityIndex::ValidateQuery(
+        queries[i].query, queries[i].sigma1, queries[i].sigma2);
   }
 
-  // Gather: per query, merge the per-shard answers in shard order.
+  // Scatter, the batch runner: each shard runs the whole batch through a
+  // BatchExecutor on the router's shared pool. Shard batches execute one
+  // after another on this host (the pool is not reentrant), but deploy to
+  // one machine per shard — the modeled makespan below is the slowest
+  // shard, not the sum.
+  std::vector<ShardReply> shard_replies;
+  shard_replies.reserve(num_shards);
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    shard_replies.push_back(index_->RunShard(
+        s, [&](const SetStore&, const SetSimilarityIndex& shard_index) {
+          obs::TraceSpan shard_span("router_shard_batch");
+          shard_span.Tag("shard", static_cast<std::uint64_t>(s));
+          exec::BatchExecutorOptions exec_options;
+          exec_options.grain = options_.batch_grain;
+          exec_options.view_buffer_pool_pages =
+              options_.view_buffer_pool_pages;
+          exec::BatchExecutor executor(shard_index, pool_, exec_options);
+          out.per_shard[s] = executor.Run(queries);
+          // One observation per batch: the shard's host wall clock, the
+          // honest per-shard figure the latency histogram tracks in batch
+          // mode. Shards grown after router construction have no slot.
+          if (s < shard_latency_.size()) {
+            shard_latency_[s]->Observe(out.per_shard[s].wall_seconds * 1e6);
+          }
+          out.modeled_makespan_seconds =
+              std::max(out.modeled_makespan_seconds,
+                       out.per_shard[s].modeled_makespan_seconds);
+          return QueryResult{};
+        }));
+  }
+
+  // Gather: per query, the shard-order gather over that query's slice of
+  // each shard's batch (a shard that answered the batch can still fail
+  // one query).
   Stopwatch merge_watch;
   {
     obs::TraceSpan gather("router_gather");
     gather.Tag("queries", static_cast<std::uint64_t>(queries.size()));
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      ShardedQueryResult merged;
-      merged.per_shard.resize(num_shards);
-      merged.shard_status.assign(num_shards, Status::OK());
-      Status failure = Status::OK();
-      for (std::uint32_t s = 0; s < num_shards && failure.ok(); ++s) {
-        if (!shard_ran[s]) {
-          if (shard_retired[s]) {
-            merged.rebalancing = true;
-            merged.partial = true;
-            continue;
-          }
-          failure = index_->GatherShardFailure(
-              s, Status::Unavailable("shard administratively degraded"),
-              &merged);
-          continue;
-        }
-        const Status& st = out.per_shard[s].statuses[i];
-        if (st.ok()) {
-          index_->GatherShardAnswer(
-              s, std::move(out.per_shard[s].results[i]), &merged);
-        } else if (st.IsInvalidArgument()) {
-          failure = st;  // caller bug: propagate, don't degrade
-        } else {
-          failure = index_->GatherShardFailure(s, st, &merged);
-        }
-      }
-      if (!failure.ok()) {
-        out.statuses[i] = std::move(failure);
+      if (!out.statuses[i].ok()) {
         ++out.failed;
         continue;
       }
-      index_->FinishGather(&merged);
-      out.results[i] = std::move(merged);
+      auto merged = index_->GatherShards(
+          num_shards, rebalancing, [&](std::uint32_t s) {
+            ShardReply reply = shard_replies[s];
+            if (reply.outcome == ShardReply::Outcome::kAnswered) {
+              reply.status = out.per_shard[s].statuses[i];
+              if (!reply.status.ok()) {
+                reply.outcome = ShardReply::Outcome::kFailed;
+              }
+              reply.answer = std::move(out.per_shard[s].results[i]);
+            }
+            return reply;
+          });
+      if (!merged.ok()) {
+        out.statuses[i] = merged.status();
+        ++out.failed;
+        continue;
+      }
+      out.results[i] = std::move(merged).value();
     }
   }
   if (options_.workload_observer != nullptr) {

@@ -1,12 +1,16 @@
 // QueryRouter: the parallel scatter/gather front end of the sharded index.
-// A single query fans out to every shard on the router's thread pool (one
-// ReadView per probe, so shards are queried concurrently without touching
-// each other's buffer pools); a batch goes through one BatchExecutor per
-// shard, every executor scheduling on the router's one shared pool. Either
-// way the gather merges per-shard answers *in shard order* with the same
-// helpers the serial ShardedSetSimilarityIndex::Query uses — router answers
-// are bit-identical to serial answers, which the differential harness
-// (tests/difftest/) holds as an invariant.
+// A single query is validated and signed once, then fans out to every
+// shard on the router's thread pool (one ReadView per shard, so shards are
+// queried concurrently without touching each other's buffer pools); a
+// batch goes through one BatchExecutor per shard, every executor
+// scheduling on the router's one shared pool. Either way each shard is
+// classified by the index's one RunShard and the answers are gathered *in
+// shard order* by its one GatherShards — the serial
+// ShardedSetSimilarityIndex::Query differs only in the per-shard runner.
+// Router and serial answers therefore agree on sids, tags and merged
+// counters (the differential harness, tests/difftest/, holds the sids
+// equal); stats.io does not, since routed reads go through per-shard
+// ReadViews and serial reads through each shard store's buffer pool.
 //
 // Failure semantics are inherited from the index's ShardFailurePolicy: a
 // degraded or erroring shard either fails the query (kFailFast) or is
@@ -96,9 +100,9 @@ class QueryRouter {
   explicit QueryRouter(const ShardedSetSimilarityIndex& index,
                        QueryRouterOptions options = {});
 
-  /// One query, scattered to all shards in parallel. Answers (including
-  /// stats merging and failure tagging) are identical to the serial
-  /// ShardedSetSimilarityIndex::Query.
+  /// One query, validated and signed once, then scattered to all shards in
+  /// parallel. Sids, tags and merged counters equal the serial
+  /// ShardedSetSimilarityIndex::Query's; stats.io and timings do not.
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2);
 

@@ -102,38 +102,12 @@ void ShardedSetSimilarityIndex::FreeShards() {
 
 ShardedSetSimilarityIndex::~ShardedSetSimilarityIndex() { FreeShards(); }
 
+// Moves happen only while singly-owned, so construction can simply
+// delegate to assignment: every member is set there.
 ShardedSetSimilarityIndex::ShardedSetSimilarityIndex(
     ShardedSetSimilarityIndex&& other) noexcept
-    : options_(std::move(other.options_)),
-      layout_(std::move(other.layout_)),
-      base_scope_(std::move(other.base_scope_)),
-      map_(std::move(other.map_)),
-      shards_(std::move(other.shards_)),
-      owned_shards_(std::move(other.owned_shards_)),
-      shard_wals_(std::move(other.shard_wals_)),
-      local_of_global_(std::move(other.local_of_global_)),
-      build_stats_(std::move(other.build_stats_)),
-      epoch_manager_(other.epoch_manager_),
-      rebalance_target_(other.rebalance_target_),
-      pending_moves_(std::move(other.pending_moves_)),
-      next_move_(other.next_move_),
-      moves_done_(other.moves_done_),
-      moves_skipped_(other.moves_skipped_),
-      rebalance_checkpointed_(other.rebalance_checkpointed_),
-      rebalance_wedged_(other.rebalance_wedged_),
-      checkpoint_hook_(std::move(other.checkpoint_hook_)) {
-  num_shards_.store(other.num_shards_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  num_live_.store(other.num_live_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  rebalance_active_.store(
-      other.rebalance_active_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  other.num_shards_.store(0, std::memory_order_relaxed);
-  other.num_live_.store(0, std::memory_order_relaxed);
-  other.rebalance_active_.store(false, std::memory_order_relaxed);
-  other.epoch_manager_ = nullptr;
-  other.next_move_ = other.moves_done_ = other.moves_skipped_ = 0;
+    : map_(/*num_shards=*/1) {
+  *this = std::move(other);
 }
 
 ShardedSetSimilarityIndex& ShardedSetSimilarityIndex::operator=(
@@ -142,6 +116,7 @@ ShardedSetSimilarityIndex& ShardedSetSimilarityIndex::operator=(
     FreeShards();
     options_ = std::move(other.options_);
     layout_ = std::move(other.layout_);
+    embedding_ = std::move(other.embedding_);
     base_scope_ = std::move(other.base_scope_);
     map_ = std::move(other.map_);
     shards_ = std::move(other.shards_);
@@ -265,6 +240,7 @@ Result<ShardedSetSimilarityIndex> ShardedSetSimilarityIndex::Build(
         std::max(sharded.build_stats_.modeled_makespan_seconds,
                  sh.index->build_stats().makespan_seconds);
   }
+  sharded.embedding_.emplace(sharded.ShardAt(0).index->embedding());
   sharded.build_stats_.wall_seconds = watch.ElapsedSeconds();
   span.Tag("modeled_makespan_seconds",
            sharded.build_stats_.modeled_makespan_seconds);
@@ -371,8 +347,14 @@ void ShardedSetSimilarityIndex::GatherShardAnswer(
     std::uint32_t s, QueryResult&& answer, ShardedQueryResult* result) const {
   const Shard* sh = shards_.Get(s);
   if (sh == nullptr) return;  // shrink retired it mid-query; tagged already
+  MergeShardAnswer(*sh, s, std::move(answer), result);
+}
+
+void ShardedSetSimilarityIndex::MergeShardAnswer(
+    const Shard& sh, std::uint32_t s, QueryResult&& answer,
+    ShardedQueryResult* result) const {
   for (SetId local : answer.sids) {
-    const SetId g = sh->global_of_local.Get(local);
+    const SetId g = sh.global_of_local.Get(local);
     // kInvalidSetId cannot surface for a local the index returned (the
     // mapping publishes before the index entry); guard anyway so a logic
     // bug degrades to a dropped row, never an invalid sid.
@@ -463,59 +445,90 @@ void ShardedSetSimilarityIndex::FinishGather(ShardedQueryResult* result) const {
   result->stats.results = result->sids.size();
 }
 
-Result<ShardedQueryResult> ShardedSetSimilarityIndex::Query(
+Result<Signature> ShardedSetSimilarityIndex::SignQuery(
     const ElementSet& query, double sigma1, double sigma2) const {
-  obs::TraceSpan span("sharded_query");
-  std::optional<exec::EpochGuard> guard;
-  if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
-  const std::uint32_t n = num_shards();
-  span.Tag("shards", static_cast<std::uint64_t>(n));
-  ShardedQueryResult result;
-  if (rebalance_active_.load(std::memory_order_seq_cst)) {
-    result.rebalancing = true;
-    result.partial = true;
+  SSR_RETURN_IF_ERROR(
+      SetSimilarityIndex::ValidateQuery(query, sigma1, sigma2));
+  obs::TraceSpan embed("embed");
+  return embedding_->Sign(query);
+}
+
+ShardedSetSimilarityIndex::ShardReply ShardedSetSimilarityIndex::RunShard(
+    std::uint32_t s, const ShardRunner& run) const {
+  ShardReply reply;
+  // Load the slot exactly once: a concurrent shrink can null it between a
+  // degraded check and the probe (the epoch guard defers the *free*, not
+  // the null store), so every dereference below goes through `sh`. Slots
+  // below the live count are published before the count, so a null slot
+  // at or past the current count can only be a shrink-retired one.
+  const Shard* sh = shards_.Get(s);
+  if (sh == nullptr && s >= num_shards()) {
+    reply.outcome = ShardReply::Outcome::kRetired;
+  } else if (sh == nullptr || sh->store == nullptr || sh->index == nullptr ||
+             sh->degraded.load(std::memory_order_relaxed)) {
+    reply.status = Status::Unavailable("shard administratively degraded");
+  } else if (auto answer = run(*sh->store, *sh->index); !answer.ok()) {
+    reply.status = answer.status();
+  } else {
+    reply.outcome = ShardReply::Outcome::kAnswered;
+    reply.answer = std::move(answer).value();
+    reply.shard = sh;
   }
+  return reply;
+}
+
+Result<ShardedQueryResult> ShardedSetSimilarityIndex::GatherShards(
+    std::uint32_t n, bool rebalancing,
+    const std::function<ShardReply(std::uint32_t)>& reply) const {
+  ShardedQueryResult result;
+  result.rebalancing = rebalancing;
+  result.partial = rebalancing;
   result.per_shard.resize(n);
   result.shard_status.assign(n, Status::OK());
   for (std::uint32_t s = 0; s < n; ++s) {
-    // Load the slot exactly once: a concurrent shrink can null it between
-    // a degraded check and the probe (the epoch guard defers the *free*,
-    // not the null store), so every dereference below goes through `sh`.
-    const Shard* sh = shards_.Get(s);
-    if (sh == nullptr) {
-      if (s >= num_shards()) {
+    ShardReply r = reply(s);
+    switch (r.outcome) {
+      case ShardReply::Outcome::kAnswered:
+        MergeShardAnswer(*r.shard, s, std::move(r.answer), &result);
+        break;
+      case ShardReply::Outcome::kRetired:
         // Shrink-retired mid-query: the shard was verified empty before
         // its slot was nulled, so skipping it drops nothing — but the
         // overlap means a moved sid may be hidden from this scatter, so
         // tag conservatively (same contract as an active rebalance).
         result.rebalancing = true;
         result.partial = true;
-        continue;
-      }
-      SSR_RETURN_IF_ERROR(GatherShardFailure(
-          s, Status::Unavailable("shard administratively degraded"), &result));
-      continue;
+        break;
+      case ShardReply::Outcome::kFailed:
+        SSR_RETURN_IF_ERROR(
+            GatherShardFailure(s, std::move(r.status), &result));
+        break;
     }
-    if (sh->index == nullptr ||
-        sh->degraded.load(std::memory_order_relaxed)) {
-      SSR_RETURN_IF_ERROR(GatherShardFailure(
-          s, Status::Unavailable("shard administratively degraded"), &result));
-      continue;
-    }
-    auto answer = sh->index->Query(query, sigma1, sigma2);
-    if (!answer.ok()) {
-      // Validation errors are the caller's bug, not a shard failure — every
-      // shard would reject identically, so propagate instead of degrading.
-      if (answer.status().IsInvalidArgument()) return answer.status();
-      SSR_RETURN_IF_ERROR(GatherShardFailure(s, answer.status(), &result));
-      continue;
-    }
-    GatherShardAnswer(s, std::move(answer).value(), &result);
   }
   FinishGather(&result);
-  span.Tag("results", static_cast<std::uint64_t>(result.sids.size()));
-  if (result.partial) span.Tag("partial", std::uint64_t{1});
-  if (result.rebalancing) span.Tag("rebalancing", std::uint64_t{1});
+  return result;
+}
+
+Result<ShardedQueryResult> ShardedSetSimilarityIndex::Query(
+    const ElementSet& query, double sigma1, double sigma2) const {
+  obs::TraceSpan span("sharded_query");
+  std::optional<exec::EpochGuard> guard;
+  if (epoch_manager_ != nullptr) guard.emplace(*epoch_manager_);
+  Signature sig;
+  SSR_ASSIGN_OR_RETURN(sig, SignQuery(query, sigma1, sigma2));
+  const std::uint32_t n = num_shards();
+  span.Tag("shards", static_cast<std::uint64_t>(n));
+  // The serial runner: each shard answers inline through its own store,
+  // inside the gather, so kFailFast stops at the first failed shard.
+  auto result = GatherShards(n, rebalancing(), [&](std::uint32_t s) {
+    return RunShard(s, [&](const SetStore&, const SetSimilarityIndex& index) {
+      return index.QuerySigned(query, sig, sigma1, sigma2, /*view=*/nullptr);
+    });
+  });
+  if (!result.ok()) return result.status();
+  span.Tag("results", static_cast<std::uint64_t>(result->sids.size()));
+  if (result->partial) span.Tag("partial", std::uint64_t{1});
+  if (result->rebalancing) span.Tag("rebalancing", std::uint64_t{1});
   return result;
 }
 
@@ -744,9 +757,9 @@ Status ShardedSetSimilarityIndex::FinishRebalance() {
     }
     // Adopt the shrunk topology, then retire the husks. Count first, slots
     // after: a reader that loaded the old count just before the store may
-    // find a nulled slot, and shard_retired() classifies exactly that case
-    // (null at/past the new count) as shrink-retired — provably empty, so
-    // the reader tags rebalancing+partial instead of tripping the failure
+    // find a nulled slot, and RunShard classifies exactly that case (null
+    // at/past the new count) as shrink-retired — provably empty, so the
+    // reader tags rebalancing+partial instead of tripping the failure
     // policy.
     num_shards_.store(target, std::memory_order_seq_cst);
     map_.SetNumShards(target);
@@ -1027,28 +1040,23 @@ Result<ShardedSetSimilarityIndex> ShardedSetSimilarityIndex::Load(
     report.salvaged = true;
   }
 
-  // Every surviving shard must have been signed under the same minhash
-  // family (each shard section nests its own index snapshot, so skew is
-  // representable on disk): a mixed composite would route one query
+  // Every surviving shard must have been signed under the same embedding
+  // (each shard section nests its own index snapshot, so skew is
+  // representable on disk): a mixed composite would route the one query
   // signature against incompatibly-signed shards. Typed NotSupported, same
-  // contract as the single-index family check.
-  {
-    bool have_family = false;
-    MinHashFamilyKind family = MinHashFamilyKind::kClassic;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const Shard& sh = sharded.ShardAt(s);
-      if (sh.index == nullptr) continue;
-      const MinHashFamilyKind shard_family =
-          sh.index->embedding().params().minhash.family;
-      if (!have_family) {
-        have_family = true;
-        family = shard_family;
-      } else if (shard_family != family) {
-        return Status::NotSupported(
-            "shard minhash family mismatch across shard sections");
-      }
+  // contract as the single-index family check. options_.index.embedding
+  // holds the first loaded shard's params (LoadShardFromPayloads).
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    const Shard& sh = sharded.ShardAt(s);
+    if (sh.index != nullptr &&
+        sh.index->embedding().params() != sharded.options_.index.embedding) {
+      return Status::NotSupported(
+          "shard embedding parameters differ across shard sections");
     }
   }
+  auto embedding = Embedding::Create(sharded.options_.index.embedding);
+  if (!embedding.ok()) return embedding.status();
+  sharded.embedding_.emplace(std::move(embedding).value());
 
   // Rebuild the global -> local table from the per-shard routing tables.
   // Liveness truth: a healthy shard's store (salvage may have dropped
@@ -1121,7 +1129,13 @@ Status ShardedSetSimilarityIndex::LoadShardFromPayloads(
     auto index = SetSimilarityIndex::Load(*sh.store, index_in, inner);
     if (index.ok()) {
       sh.index = std::make_unique<SetSimilarityIndex>(std::move(index).value());
-      if (layout_.points.empty()) layout_ = sh.index->layout();
+      if (layout_.points.empty()) {
+        // The first loaded shard fixes the layout and the embedding: a
+        // salvage rebuild below and any shard a later grow creates must
+        // sign exactly like the shards that loaded.
+        layout_ = sh.index->layout();
+        options_.index.embedding = sh.index->embedding().params();
+      }
       return Status::OK();
     }
     idx_status = index.status();

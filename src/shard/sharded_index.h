@@ -47,6 +47,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -169,11 +170,54 @@ class ShardedSetSimilarityIndex {
   /// SetSimilarityIndex::Erase. Same thread-safety as Insert.
   Status Erase(SetId sid);
 
-  /// Serial reference scatter/gather: queries shards 0..P-1 in order on the
-  /// calling thread and merges. Identical answers (and failure semantics)
-  /// to QueryRouter::Query — the differential harness holds the two equal.
+  /// Serial reference scatter/gather: SignQuery, then shards 0..P-1 in
+  /// order on the calling thread, each through its own store, gathered by
+  /// GatherShards. Only the per-shard runner differs from
+  /// QueryRouter::Query, so both return identical sids, tags (partial,
+  /// rebalancing, degraded_shards, shard_status codes) and merged counters.
+  /// stats.io and timings differ by design: serial reads go through each
+  /// shard store's buffer pool, routed reads through per-shard ReadViews.
   Result<ShardedQueryResult> Query(const ElementSet& query, double sigma1,
                                    double sigma2) const;
+
+  /// ValidateQuery, then the one signature every shard's QuerySigned takes
+  /// (all shards share EmbeddingParams; Load rejects skewed snapshots).
+  Result<Signature> SignQuery(const ElementSet& query, double sigma1,
+                              double sigma2) const;
+
+ private:
+  struct Shard;
+
+ public:
+  /// One shard's part in a scatter, as RunShard classified it.
+  struct ShardReply {
+    enum class Outcome { kAnswered, kRetired, kFailed };
+    Outcome outcome = Outcome::kFailed;
+    QueryResult answer;  // kAnswered: the verified local answer
+    Status status;       // kFailed: why the shard did not answer
+
+   private:
+    friend class ShardedSetSimilarityIndex;
+    const Shard* shard = nullptr;  // kAnswered: the slot RunShard loaded
+  };
+  using ShardRunner = std::function<Result<QueryResult>(
+      const SetStore& store, const SetSimilarityIndex& index)>;
+
+  /// The one per-shard classifier. Loads slot `s` once: null at or past
+  /// the live count is kRetired (a completed shrink verified it empty, so
+  /// it must not trip kFailFast); null, dead or degraded is kFailed
+  /// (Unavailable); otherwise `run`'s result. Callers hold an epoch pin
+  /// until the reply is gathered.
+  ShardReply RunShard(std::uint32_t s, const ShardRunner& run) const;
+
+  /// The one shard-order gather over reply(0..n-1): merges answers, tags
+  /// retired shards rebalancing + partial, applies the failure policy
+  /// (stopping at a kFailFast failure), then FinishGather. `rebalancing`:
+  /// a rebalance was active when the scatter began. Serial callers run
+  /// each shard inside reply(s); parallel ones hand back replies.
+  Result<ShardedQueryResult> GatherShards(
+      std::uint32_t n, bool rebalancing,
+      const std::function<ShardReply(std::uint32_t)>& reply) const;
 
   std::uint32_t num_shards() const {
     return num_shards_.load(std::memory_order_seq_cst);
@@ -185,7 +229,7 @@ class ShardedSetSimilarityIndex {
   const ShardedBuildStats& build_stats() const { return build_stats_; }
   const std::string& metrics_scope() const { return base_scope_; }
 
-  /// Per-shard access (the router fans out over these). A dead shard (lost
+  /// Per-shard access (queries use RunShard instead). A dead shard (lost
   /// in a salvage load) has null store/index and degraded == true. Concurrent
   /// callers hold an exec::EpochGuard across the use of the returned
   /// pointers (shard objects are epoch-retired when a shrink completes).
@@ -229,16 +273,6 @@ class ShardedSetSimilarityIndex {
     return sh == nullptr || sh->index == nullptr ||
            sh->degraded.load(std::memory_order_relaxed);
   }
-  /// True when slot `s` was nulled by a completed shrink: the shard was
-  /// verified empty before FinishRebalance retired it, so a query that
-  /// loaded the pre-shrink count skips it silently (a retired slot is not
-  /// a failed shard — it must not trip ShardFailurePolicy::kFailFast).
-  /// Slots below the live count are published before the count, so a null
-  /// slot at or past the current count is the only way this reads true.
-  bool shard_retired(std::uint32_t s) const {
-    return shards_.Get(s) == nullptr && s >= num_shards();
-  }
-
   ShardFailurePolicy on_shard_failure() const {
     return options_.on_shard_failure;
   }
@@ -315,7 +349,8 @@ class ShardedSetSimilarityIndex {
 
   /// Translates one shard's verified local answer into `result`: maps local
   /// sids to global, appends them, and merges the per-shard stats in shard
-  /// order. Shared by the serial Query and the router's gather.
+  /// order. GatherShards does this for every answered shard; these three
+  /// are public for callers that run their own scatter.
   void GatherShardAnswer(std::uint32_t s, QueryResult&& answer,
                          ShardedQueryResult* result) const;
   /// Records shard `s` as unanswered under the failure policy. Returns the
@@ -413,10 +448,16 @@ class ShardedSetSimilarityIndex {
                                const SnapshotLoadOptions& load_options,
                                RecoveryReport* report);
 
+  /// GatherShardAnswer through an already loaded shard slot.
+  void MergeShardAnswer(const Shard& sh, std::uint32_t s, QueryResult&& answer,
+                        ShardedQueryResult* result) const;
+
   void FreeShards();
 
   ShardedIndexOptions options_;
   IndexLayout layout_;
+  /// The embedding all shards share (Load adopts the loaded shards').
+  std::optional<Embedding> embedding_;
   std::string base_scope_;
   ShardMap map_;
   /// Reader path: shards_.Get(s) for s < num_shards_. Slots are published

@@ -367,6 +367,20 @@ TEST(FamilyPersistenceTest, ShardedFamilySkewIsNotSupported) {
   EXPECT_TRUE(loaded.status().IsNotSupported())
       << loaded.status().ToString();
 
+  // A min-hash seed skew is as incompatible as a family skew: the one
+  // query signature would be wrong for shard 1 all the same. The seed is
+  // the u64 after num_hashes (u64) and value_bits (u32).
+  std::string seed_skew = buffer.str();
+  RewriteSection(&seed_skew, "shard1_index", [](std::string* inner) {
+    RewriteSection(inner, "options",
+                   [](std::string* payload) { (*payload)[8 + 4] ^= 0x01; });
+  });
+  std::stringstream seed_in(seed_skew);
+  auto seed_loaded = shard::ShardedSetSimilarityIndex::Load(seed_in, options);
+  ASSERT_FALSE(seed_loaded.ok());
+  EXPECT_TRUE(seed_loaded.status().IsNotSupported())
+      << seed_loaded.status().ToString();
+
   // Control: the identical surgery writing the *same* family byte back is
   // a no-op and must load (proving the surgeon, not the skew, is benign).
   std::string control = buffer.str();

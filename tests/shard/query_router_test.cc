@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "shard/sharded_index.h"
 #include "util/random.h"
 #include "util/set_ops.h"
@@ -71,6 +74,44 @@ std::vector<exec::BatchQuery> MakeBatch(const Fixture& f, std::size_t n,
     batch.push_back(std::move(q));
   }
   return batch;
+}
+
+// Everything a serial and a routed answer share: sids, tags, per-shard
+// status codes and the merged counters. stats.io (and the timings) are
+// excluded — serial reads go through each shard store's buffer pool,
+// routed reads through per-shard ReadViews, by design.
+void ExpectSameAnswer(const ShardedQueryResult& routed,
+                      const ShardedQueryResult& serial) {
+  EXPECT_EQ(routed.sids, serial.sids);
+  EXPECT_EQ(routed.partial, serial.partial);
+  EXPECT_EQ(routed.rebalancing, serial.rebalancing);
+  EXPECT_EQ(routed.degraded_shards, serial.degraded_shards);
+  ASSERT_EQ(routed.shard_status.size(), serial.shard_status.size());
+  for (std::size_t s = 0; s < routed.shard_status.size(); ++s) {
+    EXPECT_EQ(routed.shard_status[s].code(), serial.shard_status[s].code())
+        << "shard " << s;
+  }
+  const QueryStats& a = routed.stats;
+  const QueryStats& b = serial.stats;
+  EXPECT_EQ(a.plan, b.plan);
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.bucket_accesses, b.bucket_accesses);
+  EXPECT_EQ(a.bucket_pages, b.bucket_pages);
+  EXPECT_EQ(a.sids_scanned, b.sids_scanned);
+  EXPECT_EQ(a.sets_fetched, b.sets_fetched);
+  EXPECT_EQ(a.length_pruned, b.length_pruned);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.probe_failures, b.probe_failures);
+  EXPECT_EQ(a.fetch_failures, b.fetch_failures);
+  EXPECT_EQ(a.retry_attempts, b.retry_attempts);
+  ASSERT_EQ(a.fi_probes.size(), b.fi_probes.size());
+  for (std::size_t i = 0; i < a.fi_probes.size(); ++i) {
+    EXPECT_EQ(a.fi_probes[i].fi, b.fi_probes[i].fi);
+    EXPECT_EQ(a.fi_probes[i].bucket_accesses, b.fi_probes[i].bucket_accesses);
+    EXPECT_EQ(a.fi_probes[i].sids, b.fi_probes[i].sids);
+    EXPECT_EQ(a.fi_probes[i].failed, b.fi_probes[i].failed);
+  }
 }
 
 TEST(QueryRouterTest, MatchesSerialQueryAtEveryWorkerCount) {
@@ -145,21 +186,59 @@ TEST(QueryRouterTest, InvalidRangePropagatesAsInvalidArgument) {
   auto f = BuildFixture(60, 3);
   ASSERT_NE(f, nullptr);
   QueryRouter router(*f->index);
-  auto r = router.Query(f->sets[0], 0.9, 0.2);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInvalidArgument());
+  ElementSet unsorted = f->sets[0];
+  ASSERT_GE(unsorted.size(), 2u);
+  std::swap(unsorted[0], unsorted[1]);
 
+  // Serial and routed queries reject a malformed query before the scatter:
+  // no shard index counts a query, no shard probe is timed.
+  auto& registry = obs::MetricsRegistry::Default();
+  std::vector<obs::Counter*> shard_queries;
+  std::vector<obs::Histogram*> shard_latency;
+  for (std::uint32_t s = 0; s < f->index->num_shards(); ++s) {
+    const std::string shard = "/shard/" + std::to_string(s);
+    shard_queries.push_back(registry.GetCounter(
+        "ssr_index_queries_total", f->index->metrics_scope() + shard +
+                                       "/index"));
+    shard_latency.push_back(registry.GetHistogram(
+        "ssr_router_shard_latency_micros", router.metrics_scope() + shard,
+        obs::LatencyBoundsMicros()));
+  }
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const obs::Counter* c : shard_queries) out.push_back(c->value());
+    for (const obs::Histogram* h : shard_latency) out.push_back(h->count());
+    return out;
+  };
+  const std::vector<std::uint64_t> before = counts();
+  for (const auto& [q, s1, s2] :
+       {std::tuple{f->sets[0], 0.9, 0.2}, std::tuple{unsorted, 0.2, 0.9}}) {
+    auto r = router.Query(q, s1, s2);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument());
+    auto serial = f->index->Query(q, s1, s2);
+    ASSERT_FALSE(serial.ok());
+    EXPECT_TRUE(serial.status().IsInvalidArgument());
+  }
+  EXPECT_EQ(counts(), before) << "a malformed query reached a shard";
+
+  // In a batch, only the malformed queries fail.
   auto batch = MakeBatch(*f, 4, 33);
   exec::BatchQuery bad;
   bad.query = f->sets[0];
   bad.sigma1 = 0.9;
   bad.sigma2 = 0.2;
   batch.insert(batch.begin() + 1, bad);
+  bad.query = unsorted;
+  bad.sigma1 = 0.2;
+  bad.sigma2 = 0.9;
+  batch.insert(batch.begin() + 3, bad);
   RoutedBatchResult result = router.RunBatch(batch);
-  EXPECT_EQ(result.failed, 1u);
+  EXPECT_EQ(result.failed, 2u);
   EXPECT_TRUE(result.statuses[1].IsInvalidArgument());
+  EXPECT_TRUE(result.statuses[3].IsInvalidArgument());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i == 1) continue;
+    if (i == 1 || i == 3) continue;
     EXPECT_TRUE(result.statuses[i].ok()) << "query " << i;
   }
 }
@@ -182,7 +261,8 @@ TEST(QueryRouterTest, DegradedShardTagsPartialAnswersInBothPaths) {
     EXPECT_TRUE(routed->stats.degraded);
     ASSERT_EQ(routed->degraded_shards.size(), 1u);
     EXPECT_EQ(routed->degraded_shards[0], 1u);
-    EXPECT_EQ(routed->sids, serial->sids);
+    EXPECT_TRUE(routed->shard_status[1].IsUnavailable());
+    ExpectSameAnswer(*routed, *serial);
   }
 
   RoutedBatchResult result = router.RunBatch(batch);
@@ -193,7 +273,8 @@ TEST(QueryRouterTest, DegradedShardTagsPartialAnswersInBothPaths) {
     auto serial =
         f->index->Query(batch[i].query, batch[i].sigma1, batch[i].sigma2);
     ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(result.results[i].sids, serial->sids) << "query " << i;
+    SCOPED_TRACE("batch query " + std::to_string(i));
+    ExpectSameAnswer(result.results[i], *serial);
   }
 }
 
@@ -208,12 +289,20 @@ TEST(QueryRouterTest, DegradedShardFailsQueriesUnderFailFast) {
   auto r = router.Query(f->sets[0], 0.0, 1.0);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
+  auto serial = f->index->Query(f->sets[0], 0.0, 1.0);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_TRUE(serial.status().IsUnavailable());
 
   const auto batch = MakeBatch(*f, 6, 55);
   RoutedBatchResult result = router.RunBatch(batch);
   EXPECT_EQ(result.failed, batch.size());
-  for (const Status& st : result.statuses) {
-    EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(result.statuses[i].IsUnavailable())
+        << result.statuses[i].ToString();
+    auto one = f->index->Query(batch[i].query, batch[i].sigma1,
+                               batch[i].sigma2);
+    ASSERT_FALSE(one.ok());
+    EXPECT_TRUE(one.status().IsUnavailable()) << one.status().ToString();
   }
 }
 

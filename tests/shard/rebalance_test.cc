@@ -417,7 +417,15 @@ TEST_F(RebalanceTest, ShrinkRetiredSlotsDoNotTripFailFastReaders) {
         const ElementSet q = sets[rng.Uniform(sets.size())];
         auto serial = index.Query(q, 0.0, 1.0);
         auto routed = router.Query(q, 0.0, 1.0);
-        for (const auto* res : {&serial, &routed}) {
+        // The third reader: a routed batch, gathered per query through the
+        // same shard classifier.
+        const RoutedBatchResult batch = router.RunBatch({{q, 0.0, 1.0}});
+        ASSERT_EQ(batch.statuses.size(), 1u);
+        Result<ShardedQueryResult> batched =
+            batch.statuses[0].ok()
+                ? Result<ShardedQueryResult>(batch.results[0])
+                : Result<ShardedQueryResult>(batch.statuses[0]);
+        for (const auto* res : {&serial, &routed, &batched}) {
           // No shard is ever degraded here, so kFailFast must never fire:
           // a nulled slot a racing reader finds past the shrink is retired
           // (provably empty), not failed.

@@ -13,11 +13,14 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/set_similarity_index.h"
+#include "obs/metrics.h"
+#include "shard/query_router.h"
 #include "storage/set_store.h"
 #include "util/random.h"
 #include "util/set_ops.h"
@@ -201,6 +204,30 @@ TEST(ShardedIndexTest, QueryRejectsInvalidRanges) {
   auto r = built->Query(sets[0], 0.9, 0.2);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
+
+  // A set that is not sorted and duplicate-free is rejected the same way,
+  // before the scatter: no shard index counts a query.
+  std::vector<obs::Counter*> shard_queries;
+  for (std::uint32_t s = 0; s < built->num_shards(); ++s) {
+    shard_queries.push_back(obs::MetricsRegistry::Default().GetCounter(
+        "ssr_index_queries_total",
+        built->metrics_scope() + "/shard/" + std::to_string(s) + "/index"));
+  }
+  ElementSet unsorted = sets[0];
+  ASSERT_GE(unsorted.size(), 2u);
+  std::swap(unsorted[0], unsorted[1]);
+  ElementSet duplicated = sets[0];
+  duplicated.push_back(duplicated.back());
+  for (const ElementSet& bad : {unsorted, duplicated}) {
+    std::vector<std::uint64_t> before;
+    for (const obs::Counter* c : shard_queries) before.push_back(c->value());
+    auto rejected = built->Query(bad, 0.2, 0.9);
+    EXPECT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsInvalidArgument());
+    for (std::size_t s = 0; s < shard_queries.size(); ++s) {
+      EXPECT_EQ(shard_queries[s]->value(), before[s]) << "shard " << s;
+    }
+  }
 }
 
 TEST(ShardedIndexTest, EmptyAndTinyCollectionsWork) {
@@ -455,6 +482,62 @@ TEST(ShardedIndexTest, SalvageRebuildsAnIndexWithADamagedIndexSection) {
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r->partial);
     EXPECT_EQ(r->sids, before->sids) << "query " << t;
+  }
+}
+
+// Every shard signs under one embedding, whatever options the caller loads
+// with: Load adopts the loaded shards' EmbeddingParams, so a salvage-rebuilt
+// shard and a shard a later grow creates sign like the loaded ones — the
+// precondition for signing a query once per scatter.
+TEST(ShardedIndexTest, LoadAdoptsTheShardEmbeddingForRebuildsAndGrowth) {
+  const SetCollection sets = MakeSets(120);
+  const ShardedIndexOptions saved_options = TestOptions(3);
+  auto built =
+      ShardedSetSimilarityIndex::Build(sets, TestLayout(), saved_options);
+  ASSERT_TRUE(built.ok());
+  std::stringstream buf;
+  ASSERT_TRUE(built->SaveTo(buf).ok());
+
+  // Damage shard 2's index payload so salvage rebuilds it from its store.
+  std::string blob = buf.str();
+  const std::string name = "shard2_index";
+  const std::size_t payload = blob.find(name) + name.size() + 8 + 4;
+  for (std::size_t i = 0; i < 16; ++i) blob[payload + i] ^= 0x5a;
+  RecoveryReport report;
+  SnapshotLoadOptions salvage;
+  salvage.salvage = true;
+  salvage.report = &report;
+  std::istringstream damaged(blob);
+  // Default options: a different min-hash count and seed than the save.
+  auto loaded =
+      ShardedSetSimilarityIndex::Load(damaged, ShardedIndexOptions{}, salvage);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_GT(report.signatures_rebuilt, 0u);
+  loaded->EnableConcurrentWrites();
+  ASSERT_TRUE(loaded->RebalanceTo(4).ok());
+  ASSERT_EQ(loaded->num_shards(), 4u);
+
+  for (std::uint32_t s = 0; s < loaded->num_shards(); ++s) {
+    ASSERT_NE(loaded->shard_index(s), nullptr);
+    EXPECT_EQ(loaded->shard_index(s)->embedding().params(),
+              saved_options.index.embedding)
+        << "shard " << s;
+  }
+
+  QueryRouter router(*loaded);
+  Rng rng(67);
+  for (int t = 0; t < 12; ++t) {
+    const ElementSet& q = sets[rng.Uniform(sets.size())];
+    const double s1 = rng.NextDouble() * 0.8;
+    const double s2 = s1 + rng.NextDouble() * (1.0 - s1);
+    auto serial = loaded->Query(q, s1, s2);
+    auto routed = router.Query(q, s1, s2);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_FALSE(serial->partial);
+    EXPECT_EQ(routed->sids, serial->sids) << "query " << t;
+    EXPECT_TRUE(IsSubset(serial->sids, BruteForce(sets, q, s1, s2)))
+        << "query " << t;
   }
 }
 

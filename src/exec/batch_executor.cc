@@ -46,7 +46,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
   std::vector<SetStore::ReadView> views;
   views.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    views.emplace_back(index_->store(), options_.view_buffer_pool_pages);
+    views.emplace_back(index_->store());
   }
   std::vector<std::vector<SetId>> scratch(workers);
 
@@ -65,8 +65,9 @@ BatchResult BatchExecutor::Run(const std::vector<BatchQuery>& queries) {
     }
   }
 
+  // One query per scheduling chunk balances heterogeneous queries.
   pool_->ParallelFor(
-      0, queries.size(), options_.grain,
+      0, queries.size(), /*grain=*/1,
       [&](std::size_t i, std::size_t worker) {
         const BatchQuery& q = queries[i];
         auto r = index_->QueryThrough(views[worker], q.query, q.sigma1,

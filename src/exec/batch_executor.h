@@ -42,14 +42,6 @@ struct BatchExecutorOptions {
   /// (ResolveThreadCount), 1 = serial.
   std::size_t num_threads = 0;
 
-  /// Queries per scheduling chunk. 1 (default) gives the best balance for
-  /// heterogeneous queries; raise it only if per-chunk overhead ever shows.
-  std::size_t grain = 1;
-
-  /// Buffer-pool pages per worker view; 0 = the store's configured
-  /// capacity per view.
-  std::size_t view_buffer_pool_pages = 0;
-
   /// Workload capture target (not owned; may be null). Each worker counts
   /// into a private unscoped observer shaped like this one, and Run merges
   /// them in (MergeFrom) — exactly the QueryStats per-worker pattern. The

@@ -21,15 +21,10 @@ bool IsNameChar(char c) { return IsNameStart(c) || (c >= '0' && c <= '9'); }
 // conformance test walks the live registry against this table, so adding
 // an instrument without a row here fails tests — by design.
 const MetricHelpEntry kHelpTable[] = {
-    {"ssr_buffer_pool_evictions_total",
-     "Pages evicted from the buffer pool."},
-    {"ssr_buffer_pool_hits_total", "Buffer pool page lookups served from "
-     "memory."},
-    {"ssr_buffer_pool_misses_total",
-     "Buffer pool page lookups that required a disk read."},
     {"ssr_degraded_queries_total",
      "Queries answered in degraded mode (partial results)."},
-    {"ssr_dfi_probes_total", "Probes against dynamic frequency indices."},
+    {"ssr_dfi_probes_total",
+     "Probes against dissimilarity filter indices."},
     {"ssr_exec_batch_queries_total",
      "Queries executed through the batch executor."},
     {"ssr_exec_batches_total", "Batches executed by the batch executor."},
@@ -65,10 +60,6 @@ const MetricHelpEntry kHelpTable[] = {
      "Candidate sets fetched from storage for verification."},
     {"ssr_index_sids_scanned_total",
      "Set ids scanned across index probes."},
-    {"ssr_io_page_writes_total", "Pages written by the storage layer."},
-    {"ssr_io_random_reads_total",
-     "Random (non-sequential) page reads issued."},
-    {"ssr_io_sequential_reads_total", "Sequential page reads issued."},
     {"ssr_observed_precision",
      "Observed precision estimated by the shadow oracle."},
     {"ssr_observed_recall",
@@ -101,7 +92,7 @@ const MetricHelpEntry kHelpTable[] = {
      "full."},
     {"ssr_server_requests_total",
      "HTTP requests served by the introspection server."},
-    {"ssr_sfi_probes_total", "Probes against static frequency indices."},
+    {"ssr_sfi_probes_total", "Probes against similarity filter indices."},
     {"ssr_shadow_offered_total",
      "Queries offered to the shadow oracle sampler."},
     {"ssr_shadow_sampled_total",
@@ -137,17 +128,18 @@ const MetricHelpEntry kHelpTable[] = {
     {"ssr_wal_recoveries_total", "WAL recoveries performed."},
     {"ssr_wal_shards_quarantined_total",
      "Shards quarantined during WAL-coupled salvage recovery."},
-    {"ssr_wal_syncs_total", "WAL sync (fsync) operations."},
+    {"ssr_wal_syncs_total",
+     "WAL sync operations (a stream flush; no fsync is issued)."},
     {"ssr_workload_fi_bucket_accesses_total",
-     "Frequency-index bucket accesses observed by the workload plane."},
+     "Filter-index bucket accesses observed by the workload plane."},
     {"ssr_workload_fi_failed_probes_total",
-     "Failed frequency-index probes observed by the workload plane."},
+     "Failed filter-index probes observed by the workload plane."},
     {"ssr_workload_fi_probes_total",
-     "Frequency-index probes observed by the workload plane."},
+     "Filter-index probes observed by the workload plane."},
     {"ssr_workload_fi_selectivity",
-     "Observed frequency-index probe selectivity."},
+     "Observed filter-index probe selectivity."},
     {"ssr_workload_fi_sids_total",
-     "Set ids produced by frequency-index probes."},
+     "Set ids produced by filter-index probes."},
     {"ssr_workload_queries_total",
      "Queries captured by the workload observer."},
     {"ssr_workload_query_set_size",

@@ -2,16 +2,17 @@
 // created once (mutex-guarded) and updated on hot paths with relaxed
 // atomics only, so a counter bump costs one uncontended atomic add. The
 // registry owns every instrument it hands out (pointers are stable for the
-// registry's lifetime), which lets movable components — stores, indices,
-// buffer pools — hold plain pointers and keeps per-query statistics structs
-// (`QueryStats`, `IoStats`, `BufferPoolStats`) as *views* over the same
-// instruments instead of parallel bookkeeping.
+// registry's lifetime), which lets movable long-lived components — stores,
+// indices, routers — hold plain pointers.
 //
 // Scoping: an instrument is identified by (name, scope). The empty scope is
 // the process-wide namespace (e.g. hash-table probe totals); components
 // that need isolated per-instance counters allocate a unique scope via
 // `NewScope("store")` -> "store/0", "store/1", ... Exporters render the
-// scope as a Prometheus label.
+// scope as a Prometheus label. The registry never frees a scope, so only
+// long-lived components take one: per-query and per-view objects (ReadView,
+// its BufferPool and IoCostModel) count in their own fields, and the
+// simulated I/O counts (IoStats, BufferPoolStats) never enter the registry.
 
 #ifndef SSR_OBS_METRICS_H_
 #define SSR_OBS_METRICS_H_

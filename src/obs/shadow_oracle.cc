@@ -32,7 +32,7 @@ ShadowOracleOptions ResolveShadowScope(ShadowOracleOptions options) {
 ShadowOracleEstimator::ShadowOracleEstimator(const SetStore& store,
                                              ShadowOracleOptions options)
     : options_(ResolveShadowScope(std::move(options))),
-      view_(store, options_.view_buffer_pool_pages),
+      view_(store),
       buckets_(options_.threshold_buckets) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   const std::string& scope = options_.metrics_scope;

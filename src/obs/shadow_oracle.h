@@ -53,10 +53,6 @@ struct ShadowOracleOptions {
   /// bins when the counts match.
   std::size_t threshold_buckets = 10;
 
-  /// Buffer-pool pages for the oracle's private ReadView; 0 = the store's
-  /// configured capacity.
-  std::size_t view_buffer_pool_pages = 0;
-
   /// Instrument scope; empty allocates a unique "shadow/N" scope.
   std::string metrics_scope;
 };

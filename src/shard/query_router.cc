@@ -100,7 +100,7 @@ Result<ShardedQueryResult> QueryRouter::Query(const ElementSet& query,
           static_cast<std::uint32_t>(s),
           [&](const SetStore& store, const SetSimilarityIndex& shard_index) {
             Stopwatch probe_watch;
-            SetStore::ReadView view(store, options_.view_buffer_pool_pages);
+            SetStore::ReadView view(store);
             std::vector<SetId> scratch;
             auto r = shard_index.QuerySigned(query, sig, sigma1, sigma2,
                                              &view, &scratch);
@@ -179,11 +179,7 @@ RoutedBatchResult QueryRouter::RunBatch(
         s, [&](const SetStore&, const SetSimilarityIndex& shard_index) {
           obs::TraceSpan shard_span("router_shard_batch");
           shard_span.Tag("shard", static_cast<std::uint64_t>(s));
-          exec::BatchExecutorOptions exec_options;
-          exec_options.grain = options_.batch_grain;
-          exec_options.view_buffer_pool_pages =
-              options_.view_buffer_pool_pages;
-          exec::BatchExecutor executor(shard_index, pool_, exec_options);
+          exec::BatchExecutor executor(shard_index, pool_);
           out.per_shard[s] = executor.Run(queries);
           // One observation per batch: the shard's host wall clock, the
           // honest per-shard figure the latency histogram tracks in batch

@@ -39,13 +39,6 @@ struct QueryRouterOptions {
   /// hardware concurrency (exec::ResolveThreadCount), 1 = serial.
   std::size_t num_threads = 0;
 
-  /// Buffer-pool pages per shard ReadView; 0 = each shard store's
-  /// configured capacity.
-  std::size_t view_buffer_pool_pages = 0;
-
-  /// Queries per scheduling chunk inside each shard's BatchExecutor.
-  std::size_t batch_grain = 1;
-
   /// Scope for this router's per-shard instruments
   /// (ssr_router_shard_latency_micros under <scope>/shard/<s>). Empty
   /// allocates a unique "router/N" scope.

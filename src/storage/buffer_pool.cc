@@ -2,27 +2,14 @@
 
 namespace ssr {
 
-BufferPool::BufferPool(std::size_t capacity_pages, std::string metrics_scope)
-    : capacity_(capacity_pages < 1 ? 1 : capacity_pages),
-      metrics_scope_(metrics_scope.empty()
-                         ? obs::MetricsRegistry::Default().NewScope("pool")
-                         : std::move(metrics_scope)) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  hits_ = registry.GetCounter("ssr_buffer_pool_hits_total", metrics_scope_);
-  misses_ =
-      registry.GetCounter("ssr_buffer_pool_misses_total", metrics_scope_);
-  evictions_ =
-      registry.GetCounter("ssr_buffer_pool_evictions_total", metrics_scope_);
-}
-
 bool BufferPool::Access(PageId page_id, bool sequential, IoCostModel& io) {
   auto it = index_.find(page_id);
   if (it != index_.end()) {
-    hits_->Increment();
+    internal::RelaxedAdd(counts_.hits, 1);
     lru_.splice(lru_.begin(), lru_, it->second);
     return true;
   }
-  misses_->Increment();
+  internal::RelaxedAdd(counts_.misses, 1);
   if (sequential) {
     io.ChargeSequentialRead();
   } else {
@@ -32,7 +19,7 @@ bool BufferPool::Access(PageId page_id, bool sequential, IoCostModel& io) {
     const PageId victim = lru_.back();
     lru_.pop_back();
     index_.erase(victim);
-    evictions_->Increment();
+    internal::RelaxedAdd(counts_.evictions, 1);
   }
   lru_.push_front(page_id);
   index_[page_id] = lru_.begin();
@@ -45,9 +32,9 @@ void BufferPool::Clear() {
 }
 
 void BufferPool::ResetStats() {
-  hits_->Reset();
-  misses_->Reset();
-  evictions_->Reset();
+  internal::RelaxedZero(counts_.hits);
+  internal::RelaxedZero(counts_.misses);
+  internal::RelaxedZero(counts_.evictions);
 }
 
 }  // namespace ssr

@@ -3,26 +3,25 @@
 // caller). The evaluation harness sizes the pool small relative to the
 // collection so the paper's disk-bound regime is faithfully simulated.
 //
-// Hit/miss/eviction counts live in obs::MetricsRegistry instruments
-// (ssr_buffer_pool_*_total under this pool's scope); BufferPoolStats is a
-// snapshot view over them.
+// Hit/miss/eviction counts are the pool's own fields (relaxed atomic
+// access, so /statusz may snapshot them from another thread). Like the I/O
+// model's counts they describe the simulation, so they stay out of the
+// metrics registry.
 
 #ifndef SSR_STORAGE_BUFFER_POOL_H_
 #define SSR_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
 #include <list>
-#include <string>
 #include <unordered_map>
 
-#include "obs/metrics.h"
 #include "storage/heap_file.h"
 #include "storage/io_cost_model.h"
 #include "storage/page.h"
 
 namespace ssr {
 
-/// Buffer pool statistics (a snapshot of the pool's instruments).
+/// Buffer pool statistics (a snapshot of the pool's counts).
 struct BufferPoolStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -39,11 +38,9 @@ struct BufferPoolStats {
 /// backed), so "residency" is bookkeeping that drives cost accounting only.
 class BufferPool {
  public:
-  /// `capacity_pages` >= 1. `metrics_scope` names this pool's instruments
-  /// in the default registry; empty allocates a unique "pool/N" scope so
-  /// independent pools never share counters.
-  explicit BufferPool(std::size_t capacity_pages,
-                      std::string metrics_scope = "");
+  /// `capacity_pages` >= 1.
+  explicit BufferPool(std::size_t capacity_pages)
+      : capacity_(capacity_pages < 1 ? 1 : capacity_pages) {}
 
   /// Declares an access to `page_id`. On a miss, charges `io` one read of
   /// the given kind and makes the page resident (possibly evicting the LRU
@@ -54,23 +51,21 @@ class BufferPool {
   void Clear();
 
   BufferPoolStats stats() const {
-    return {hits_->value(), misses_->value(), evictions_->value()};
+    return {internal::RelaxedLoad(counts_.hits),
+            internal::RelaxedLoad(counts_.misses),
+            internal::RelaxedLoad(counts_.evictions)};
   }
   void ResetStats();
 
   std::size_t capacity() const { return capacity_; }
   std::size_t resident() const { return lru_.size(); }
-  const std::string& metrics_scope() const { return metrics_scope_; }
 
  private:
   std::size_t capacity_;
-  std::string metrics_scope_;
   // Front = most recently used.
   std::list<PageId> lru_;
   std::unordered_map<PageId, std::list<PageId>::iterator> index_;
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
+  mutable BufferPoolStats counts_;  // touched only through internal::Relaxed*
 };
 
 }  // namespace ssr

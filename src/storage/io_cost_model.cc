@@ -2,20 +2,6 @@
 
 namespace ssr {
 
-IoCostModel::IoCostModel(IoCostParams params, std::string metrics_scope)
-    : params_(params),
-      metrics_scope_(metrics_scope.empty()
-                         ? obs::MetricsRegistry::Default().NewScope("io")
-                         : std::move(metrics_scope)) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  sequential_reads_ =
-      registry.GetCounter("ssr_io_sequential_reads_total", metrics_scope_);
-  random_reads_ =
-      registry.GetCounter("ssr_io_random_reads_total", metrics_scope_);
-  page_writes_ =
-      registry.GetCounter("ssr_io_page_writes_total", metrics_scope_);
-}
-
 double IoStats::SimulatedMicros(const IoCostParams& params) const {
   return static_cast<double>(sequential_reads) * params.seq_page_micros +
          static_cast<double>(random_reads) * params.random_page_micros() +

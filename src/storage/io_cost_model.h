@@ -7,17 +7,15 @@
 // cost model, making the paper's crossover analysis reproducible on any
 // hardware.
 //
-// The counters are obs::MetricsRegistry instruments (ssr_io_*_total under
-// this model's scope); IoStats is a snapshot view over them, so the
-// harness, the exporters, and per-query deltas all read the same numbers.
+// The counts are modeled page accesses, not measured ones, so they stay out
+// of the metrics registry: they are the model's own fields, and the
+// harness, QueryStats::io and per-query deltas read them through stats().
 
 #ifndef SSR_STORAGE_IO_COST_MODEL_H_
 #define SSR_STORAGE_IO_COST_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
-#include <string>
-
-#include "obs/metrics.h"
 
 namespace ssr {
 
@@ -58,47 +56,61 @@ struct IoStats {
   }
 };
 
+namespace internal {
+// Relaxed atomic access to a plain counter field. IoCostModel and
+// BufferPool keep their counts as ordinary struct fields, so both stay
+// movable, while charges and snapshots from different threads (serial
+// queries charge the store's model without the store lock) stay race-free.
+inline void RelaxedAdd(std::uint64_t& count, std::uint64_t n) {
+  std::atomic_ref<std::uint64_t>(count).fetch_add(n,
+                                                  std::memory_order_relaxed);
+}
+inline std::uint64_t RelaxedLoad(std::uint64_t& count) {
+  return std::atomic_ref<std::uint64_t>(count).load(std::memory_order_relaxed);
+}
+inline void RelaxedZero(std::uint64_t& count) {
+  std::atomic_ref<std::uint64_t>(count).store(0, std::memory_order_relaxed);
+}
+}  // namespace internal
+
 /// Mutable counter of page accesses. Storage components charge it; the
-/// evaluation harness snapshots it around each query. `metrics_scope`
-/// names this model's instruments in the default registry; empty allocates
-/// a unique "io/N" scope.
+/// evaluation harness snapshots it around each query.
 class IoCostModel {
  public:
-  explicit IoCostModel(IoCostParams params = IoCostParams(),
-                       std::string metrics_scope = "");
+  explicit IoCostModel(IoCostParams params = IoCostParams())
+      : params_(params) {}
 
   void ChargeSequentialRead(std::uint64_t pages = 1) {
-    sequential_reads_->Add(pages);
+    internal::RelaxedAdd(counts_.sequential_reads, pages);
   }
   void ChargeRandomRead(std::uint64_t pages = 1) {
-    random_reads_->Add(pages);
+    internal::RelaxedAdd(counts_.random_reads, pages);
   }
-  void ChargeWrite(std::uint64_t pages = 1) { page_writes_->Add(pages); }
+  void ChargeWrite(std::uint64_t pages = 1) {
+    internal::RelaxedAdd(counts_.page_writes, pages);
+  }
 
-  /// Snapshot view over the registry instruments.
+  /// Snapshot of the counts.
   IoStats stats() const {
-    return {sequential_reads_->value(), random_reads_->value(),
-            page_writes_->value()};
+    return {internal::RelaxedLoad(counts_.sequential_reads),
+            internal::RelaxedLoad(counts_.random_reads),
+            internal::RelaxedLoad(counts_.page_writes)};
   }
   const IoCostParams& params() const { return params_; }
   void set_params(const IoCostParams& params) { params_ = params; }
-  const std::string& metrics_scope() const { return metrics_scope_; }
 
   /// Resets all counters to zero.
   void Reset() {
-    sequential_reads_->Reset();
-    random_reads_->Reset();
-    page_writes_->Reset();
+    internal::RelaxedZero(counts_.sequential_reads);
+    internal::RelaxedZero(counts_.random_reads);
+    internal::RelaxedZero(counts_.page_writes);
   }
 
   double SimulatedMicros() const { return stats().SimulatedMicros(params_); }
 
  private:
   IoCostParams params_;
-  std::string metrics_scope_;
-  obs::Counter* sequential_reads_;
-  obs::Counter* random_reads_;
-  obs::Counter* page_writes_;
+  mutable IoStats counts_;  // touched only through internal::Relaxed*
 };
 
 }  // namespace ssr

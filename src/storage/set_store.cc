@@ -20,9 +20,8 @@ SetStoreOptions ResolveMetricsScope(SetStoreOptions options) {
 
 SetStore::SetStore(SetStoreOptions options)
     : options_(ResolveMetricsScope(std::move(options))),
-      btree_(options_.btree_max_keys),
-      pool_(options_.buffer_pool_pages, options_.metrics_scope),
-      io_(options_.io, options_.metrics_scope) {
+      pool_(options_.buffer_pool_pages),
+      io_(options_.io) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   const std::string& scope = options_.metrics_scope;
   sets_added_ = registry.GetCounter("ssr_store_sets_added_total", scope);
@@ -105,12 +104,8 @@ Result<T> SetStore::FetchRecord(SetId sid, BufferPool& pool, IoCostModel& io,
                                 Use&& use) const {
   gets_->Increment();
   Stopwatch watch;
-  std::size_t nodes = 0;
-  auto loc = btree_.Find(sid, &nodes);
+  auto loc = btree_.Find(sid);
   if (!loc.ok()) return loc.status();
-  if (options_.charge_btree_io) {
-    io.ChargeRandomRead(nodes);
-  }
   // The page fetch is where transient device faults land ("store/get"
   // site); retry those before letting the error escape to the query layer.
   auto result = fault::RetryWithPolicy(options_.get_retry, [&]() -> Result<T> {
@@ -159,8 +154,7 @@ Result<Similarity> SetStore::SimilarityTo(SetId sid, const ElementSet& query) {
 
 Result<std::uint32_t> SetStore::RecordSize(SetId sid) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::size_t nodes = 0;
-  auto loc = btree_.Find(sid, &nodes);
+  auto loc = btree_.Find(sid);
   if (!loc.ok()) return loc.status();
   auto record = file_.View(loc.value(), /*scratch=*/nullptr);
   if (!record.ok()) return record.status();
@@ -170,14 +164,10 @@ Result<std::uint32_t> SetStore::RecordSize(SetId sid) const {
   return record->count;
 }
 
-SetStore::ReadView::ReadView(const SetStore& store,
-                             std::size_t buffer_pool_pages)
+SetStore::ReadView::ReadView(const SetStore& store)
     : store_(&store),
-      pool_(buffer_pool_pages == 0 ? store.options_.buffer_pool_pages
-                                   : buffer_pool_pages,
-            obs::MetricsRegistry::Default().NewScope(
-                store.options_.metrics_scope + "/view")),
-      io_(store.options_.io, pool_.metrics_scope()) {}
+      pool_(store.options_.buffer_pool_pages),
+      io_(store.options_.io) {}
 
 // The view fetches mirror the store's, but every mutable touch lands on
 // this view's private pool_/io_/scratch_; the shared structures (btree_,
@@ -197,8 +187,7 @@ Result<Similarity> SetStore::ReadView::SimilarityTo(SetId sid,
 
 Status SetStore::Delete(SetId sid) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  std::size_t dummy = 0;
-  auto loc = btree_.Find(sid, &dummy);
+  auto loc = btree_.Find(sid);
   if (!loc.ok()) return loc.status();
   SSR_RETURN_IF_ERROR(btree_.Erase(sid));
   live_sets_->Set(static_cast<double>(btree_.size()));

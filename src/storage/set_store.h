@@ -35,17 +35,10 @@ struct SetStoreOptions {
   /// Simulated I/O cost parameters (seq/random page cost).
   IoCostParams io;
 
-  /// Max keys per B+-tree node.
-  std::size_t btree_max_keys = 256;
-
-  /// Whether B+-tree traversals charge random reads per node visited
-  /// (index assumed disk-resident). Default false: the paper keeps the sid
-  /// index hot and counts data-page I/O only.
-  bool charge_btree_io = false;
-
-  /// Scope for this store's instruments (buffer pool, I/O model, record
-  /// counters) in obs::MetricsRegistry::Default(). Empty allocates a
-  /// unique "store/N" scope so independent stores never share counters.
+  /// Scope for this store's instruments (record counters, fetch latency)
+  /// in obs::MetricsRegistry::Default(). Empty allocates a unique "store/N"
+  /// scope so independent stores never share counters. The buffer pool's
+  /// and the I/O model's simulated counts are not registry instruments.
   std::string metrics_scope;
 
   /// Retry policy for transient (Unavailable) failures on record fetches —
@@ -64,20 +57,18 @@ class SetStore {
  public:
   explicit SetStore(SetStoreOptions options = SetStoreOptions());
 
-  /// A per-worker read-only view: a private buffer pool and a private I/O
-  /// cost model over the store's immutable heap file and sid index. As long
-  /// as no writer runs concurrently, any number of ReadViews may Get() in
-  /// parallel — the only mutable state each touches is its own. The batch
-  /// executor gives each worker one view and merges io_stats() deltas into
-  /// per-query stats; process-wide store counters (gets, failures, latency)
-  /// are still shared, which is safe (relaxed atomics).
+  /// A per-worker read-only view: a private buffer pool (with the store's
+  /// capacity) and a private I/O cost model over the store's immutable heap
+  /// file and sid index. As long as no writer runs concurrently, any number
+  /// of ReadViews may Get() in parallel — the only mutable state each
+  /// touches is its own. The batch executor gives each worker one view and
+  /// merges io_stats() deltas into per-query stats; process-wide store
+  /// counters (gets, failures, latency) are still shared, which is safe
+  /// (relaxed atomics). A view registers no metrics, so building one per
+  /// query costs no registry growth.
   class ReadView {
    public:
-    /// `buffer_pool_pages` = 0 uses the store's configured pool capacity.
-    /// The view's pool and I/O instruments live under a fresh
-    /// "<store-scope>/view/N" metrics scope so views never share counters.
-    explicit ReadView(const SetStore& store,
-                      std::size_t buffer_pool_pages = 0);
+    explicit ReadView(const SetStore& store);
 
     /// Identical semantics to SetStore::Get (fault retries included), but
     /// charges this view's pool and cost model only.

@@ -1,9 +1,10 @@
 // QueryRouter equivalence and scheduling tests: parallel scatter/gather
 // answers are identical to the serial ShardedSetSimilarityIndex::Query at
 // every worker count, batches match query-at-a-time routing, failure
-// semantics follow the ShardFailurePolicy, and the modeled makespan
-// bookkeeping behaves. These run under TSan in CI (tsan-critical label) —
-// the scatter path is the only place shard stores are read concurrently.
+// semantics follow the ShardFailurePolicy, the modeled makespan bookkeeping
+// behaves, and routing registers no metrics per query. These run under
+// TSan in CI (tsan-critical label) — the scatter path is the only place
+// shard stores are read concurrently.
 
 #include "shard/query_router.h"
 
@@ -325,6 +326,38 @@ TEST(QueryRouterTest, SingleShardRoutingDegeneratesToPlainBatching) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(routed.results[i].sids, plain.results[i].sids) << "query " << i;
   }
+}
+
+// The registry never frees an instrument, so anything a query, a batch or
+// a ReadView registered would grow a serving process's memory and /metrics
+// linearly with traffic. None of them registers anything.
+TEST(QueryRouterTest, QueriesAndViewsLeaveTheMetricsRegistryUnchanged) {
+  auto f = BuildFixture(150, 4);
+  ASSERT_NE(f, nullptr);
+  const auto batch = MakeBatch(*f, 20, 99);
+  QueryRouterOptions options;
+  options.num_threads = 4;
+  QueryRouter router(*f->index, options);
+  exec::BatchExecutorOptions exec_options;
+  exec_options.num_threads = 2;
+  exec::BatchExecutor executor(*f->index->shard_index(0), exec_options);
+
+  // Warm-up: process-wide counters register on first use.
+  const exec::BatchQuery& first = batch.front();
+  ASSERT_TRUE(router.Query(first.query, first.sigma1, first.sigma2).ok());
+  EXPECT_EQ(router.RunBatch(batch).failed, 0u);
+  EXPECT_EQ(executor.Run(batch).failed, 0u);
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const std::size_t entries = registry.Entries().size();
+
+  for (std::size_t i = 0; i < 200; ++i) {
+    const exec::BatchQuery& q = batch[i % batch.size()];
+    ASSERT_TRUE(router.Query(q.query, q.sigma1, q.sigma2).ok());
+  }
+  EXPECT_EQ(router.RunBatch(batch).failed, 0u);
+  EXPECT_EQ(executor.Run(batch).failed, 0u);
+  { SetStore::ReadView view(*f->index->shard_store(0)); }
+  EXPECT_EQ(registry.Entries().size(), entries);
 }
 
 }  // namespace

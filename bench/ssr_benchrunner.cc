@@ -52,7 +52,6 @@
 #include "hamming/embedding.h"
 #include "minhash/family.h"
 #include "minhash/min_hasher.h"
-#include "minhash/packed.h"
 #include "obs/chrome_trace.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -66,7 +65,6 @@
 #include "server/introspection_server.h"
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
-#include "storage/bplus_tree.h"
 #include "storage/recovery.h"
 #include "storage/set_store.h"
 #include "storage/wal.h"
@@ -123,26 +121,13 @@ int RunMicroSuite(bool quick, RunReport* report) {
         sig_words += embedding->Sign(a).values().size();
       }));
 
-  BPlusTree tree(256);
-  for (SetId k = 0; k < 100000; ++k) tree.Upsert(k, RecordLocator{k, 0});
-  std::size_t found = 0;
-  report->AddScalar(
-      "micro_btree_find_ns",
-      MicroLoop("micro_btree_find", quick ? 50000 : 500000,
-                [&](std::size_t) {
-                  found +=
-                      tree.Find(static_cast<SetId>(rng.Uniform(100000))).ok()
-                          ? 1
-                          : 0;
-                }));
   (void)sig_words;
-  (void)found;
   return 0;
 }
 
 /// Signature engine v2 ablation: per-family sign cost (single and batch)
-/// at the paper's k = 100 on 250-element sets, the packed vs unpacked
-/// agreement kernels, and a fig7-style accuracy point per family x b —
+/// at the paper's k = 100 on 250-element sets, the signature agreement
+/// kernel, and a fig7-style accuracy point per family x b —
 /// so a family's speed is never quoted without its recall/precision.
 int RunSigningSuite(bool quick, RunReport* report) {
   bench::PrintHeader("suite: signing (signature engine v2 ablation)");
@@ -205,8 +190,8 @@ int RunSigningSuite(bool quick, RunReport* report) {
     (void)sink;
   }
 
-  // Packed (SWAR + popcount) vs unpacked (value-by-value) signature
-  // agreement at k = 100, b = 8 — the estimator/SFI compare kernel.
+  // Value-by-value signature agreement at k = 100, b = 8 — the
+  // estimator/SFI compare kernel.
   {
     MinHashParams mp;
     mp.num_hashes = 100;
@@ -214,20 +199,12 @@ int RunSigningSuite(bool quick, RunReport* report) {
     MinHasher hasher(mp);
     const Signature sa = hasher.Sign(one);
     const Signature sb = hasher.Sign(batch[0]);
-    const PackedSignature pa = PackedSignature::Pack(sa, mp.value_bits);
-    const PackedSignature pb = PackedSignature::Pack(sb, mp.value_bits);
     volatile double agree = 0.0;
     report->AddScalar(
         "signing_unpacked_agreement_ns",
         MicroLoop("signing_unpacked_agreement", quick ? 100000 : 1000000,
                   [&](std::size_t) {
                     agree = agree + sa.AgreementFraction(sb);
-                  }));
-    report->AddScalar(
-        "signing_packed_agreement_ns",
-        MicroLoop("signing_packed_agreement", quick ? 100000 : 1000000,
-                  [&](std::size_t) {
-                    agree = agree + pa.AgreementFraction(pb);
                   }));
   }
 
@@ -1455,7 +1432,7 @@ struct Suite {
 };
 
 constexpr Suite kSuites[] = {
-    {"micro", "single-thread primitive costs (jaccard, sign, btree find)",
+    {"micro", "single-thread primitive costs (jaccard, sign)",
      RunMicroSuite},
     {"signing", "signature engine v2: per-family sign cost + accuracy",
      RunSigningSuite},

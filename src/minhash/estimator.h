@@ -9,7 +9,6 @@
 
 #include <cstddef>
 
-#include "minhash/packed.h"
 #include "minhash/signature.h"
 
 namespace ssr {
@@ -31,14 +30,6 @@ class SimilarityEstimator {
   /// non-matching minima, E[agreement] = s + (1-s)c, so
   /// s_hat = (raw - c) / (1 - c), clamped to [0, 1]. Unbiased for finite b.
   double Estimate(const Signature& a, const Signature& b) const;
-
-  /// Packed counterparts: same estimators over b-bit packed signatures via
-  /// the SWAR/popcount agreement kernel (minhash/packed.h). Numerically
-  /// identical to the unpacked overloads on the same underlying values.
-  double RawEstimate(const PackedSignature& a, const PackedSignature& b) const {
-    return a.AgreementFraction(b);
-  }
-  double Estimate(const PackedSignature& a, const PackedSignature& b) const;
 
   /// Half-width of a (1 - delta) confidence interval around the estimate for
   /// signatures of k coordinates (two-sided Chernoff/Hoeffding bound).

@@ -12,6 +12,7 @@
 #include <functional>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 #include <vector>
 
 #include "storage/page.h"
@@ -26,12 +27,17 @@ namespace ssr {
 struct RecordLocator {
   PageId page = kInvalidPageId;
   std::uint16_t slot = 0;
+  // Named padding, always zero: snapshots write locators as raw bytes, and
+  // unnamed padding would leave two indeterminate bytes in each.
+  std::uint16_t reserved = 0;
 
   static constexpr std::uint16_t kSpannedSlot = 0xffff;
   bool is_spanned() const { return slot == kSpannedSlot; }
   bool valid() const { return page != kInvalidPageId; }
   bool operator==(const RecordLocator&) const = default;
 };
+static_assert(std::has_unique_object_representations_v<RecordLocator>,
+              "RecordLocator is written raw; it must have no padding");
 
 /// A record located in place: its header and where its element bytes are.
 /// `elements` points at `count` native-order u64s (any alignment) on the

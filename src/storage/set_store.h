@@ -1,9 +1,16 @@
 // SetStore: the disk-resident set collection. Composes the heap file (record
-// storage), the B+-tree (sid -> record locator, the "conventional data
-// structure supporting queries on set identifier" of Section 6), the buffer
-// pool, and the I/O cost model. This is what both query paths touch:
+// storage), the sid index (sid -> record locator, the "conventional data
+// structure such as a B-tree supporting queries on set identifier" of
+// Section 6), the buffer pool, and the I/O cost model. This is what both
+// query paths touch:
 //   - the index path fetches candidate sets by sid (random reads), and
 //   - the sequential-scan baseline reads every page in file order.
+//
+// The sid index is a dense array indexed by sid, where an invalid locator
+// means "not live". That is exact, not an approximation of the paper's
+// B-tree: the store hands out sids densely and never reuses one, so the
+// array has one slot per sid ever added, and the index was never charged
+// simulated I/O (only record pages are).
 
 #ifndef SSR_STORAGE_SET_STORE_H_
 #define SSR_STORAGE_SET_STORE_H_
@@ -13,10 +20,10 @@
 #include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "fault/retry.h"
 #include "obs/metrics.h"
-#include "storage/bplus_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/io_cost_model.h"
@@ -127,10 +134,7 @@ class SetStore {
   Status Delete(SetId sid);
 
   /// True iff sid currently maps to a live record.
-  bool Contains(SetId sid) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return btree_.Contains(sid);
-  }
+  bool Contains(SetId sid) const;
 
   /// Visits every live set in file order, charging one sequential read per
   /// distinct page in file order (the cost of a full-file scan). Returning
@@ -141,7 +145,7 @@ class SetStore {
   /// Number of live sets.
   std::size_t size() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return btree_.size();
+    return live_count_;
   }
 
   /// Total heap-file pages (the sequential-scan cost in pages).
@@ -158,7 +162,6 @@ class SetStore {
   const IoCostModel& io() const { return io_; }
   BufferPool& buffer_pool() { return pool_; }
   const BufferPool& buffer_pool() const { return pool_; }
-  const BPlusTree& btree() const { return btree_; }
   const HeapFile& file() const { return file_; }
 
   /// The scope this store's instruments are registered under.
@@ -193,7 +196,7 @@ class SetStore {
 
  private:
   // The record fetch shared by Get and SimilarityTo on the store and its
-  // views: B+-tree lookup, the "store/get" fault site under get_retry, the
+  // views: sid lookup, the "store/get" fault site under get_retry, the
   // sid check, per-page charging to `pool`/`io`, and the store counters.
   // `use` maps the validated RecordView to the result while the caller
   // still holds mu_. Defined (and only instantiated) in set_store.cc.
@@ -201,14 +204,20 @@ class SetStore {
   Result<T> FetchRecord(SetId sid, BufferPool& pool, IoCostModel& io,
                         std::vector<std::uint8_t>* scratch, Use&& use) const;
 
-  // Guards file_/btree_/pool_/io_/next_sid_/live_bytes_: exclusive for
-  // mutations and pool-touching reads, shared for ReadView fetches and
-  // pure lookups. Declared first so it outlives every guarded member
-  // during destruction.
+  // sid's live-record locator, or NotFound. The caller holds mu_.
+  Result<RecordLocator> Locate(SetId sid) const;
+
+  // Guards file_/locators_/live_count_/pool_/io_/next_sid_/live_bytes_:
+  // exclusive for mutations and pool-touching reads, shared for ReadView
+  // fetches and pure lookups. Declared first so it outlives every guarded
+  // member during destruction.
   mutable std::shared_mutex mu_;
   SetStoreOptions options_;
   HeapFile file_;
-  BPlusTree btree_;
+  // The sid index: locators_[sid] is sid's record, invalid once deleted;
+  // locators_.size() == next_sid_.
+  std::vector<RecordLocator> locators_;
+  std::size_t live_count_ = 0;
   BufferPool pool_;
   IoCostModel io_;
   obs::Counter* sets_added_;      // ssr_store_sets_added_total

@@ -32,7 +32,7 @@
 // Durability protocol (storage/recovery.h builds on this): Append returns
 // the record's LSN once the bytes reached the stream; the mutation is
 // *acknowledged* once its LSN is synced (synced_lsn() >= lsn), which the
-// fsync policy controls — kEveryRecord syncs in Append, kEveryN amortizes,
+// sync policy controls — kEveryRecord syncs in Append, kEveryN amortizes,
 // kOnCheckpoint leaves syncing to the checkpointer. Recovery guarantees
 // every acknowledged mutation survives; unacknowledged tail records may
 // survive (they were appended, just not yet synced), which is harmless:
@@ -62,11 +62,12 @@ inline constexpr std::string_view kWalCrashFaultSite = "wal/crash";
 /// First LSN of a fresh (never-checkpointed) log.
 inline constexpr std::uint64_t kWalFirstLsn = 1;
 
-/// When appended records are made durable (synced). With an in-memory
-/// stream (tests, the crash harness) "sync" is a flush; a file-backed
-/// deployment maps it to fsync.
+/// When appended records are synced. "Sync" is std::ostream::flush() for
+/// every writer, file-backed ones included: records are flushed to the
+/// stream, and no fsync runs. The durable-WAL item in ROADMAP.md tracks
+/// a writer that fdatasyncs.
 enum class WalSyncPolicy {
-  kEveryRecord,   // sync inside every Append (the durable default)
+  kEveryRecord,   // sync inside every Append (the default)
   kEveryN,        // sync every sync_every_n appends (group commit)
   kOnCheckpoint,  // never sync in Append; the checkpointer calls Sync()
 };
@@ -127,8 +128,8 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one mutation; returns its LSN. The record is durable once
-  /// synced_lsn() covers it (policy-dependent).
+  /// Appends one mutation; returns its LSN. The record is flushed to the
+  /// stream once synced_lsn() covers it (policy-dependent).
   Result<std::uint64_t> AppendInsert(SetId sid, const ElementSet& set);
   Result<std::uint64_t> AppendErase(SetId sid);
 
@@ -139,13 +140,14 @@ class WalWriter {
                                      const ElementSet& set);
   Result<std::uint64_t> AppendMoveOut(SetId sid, std::uint32_t to_shard);
 
-  /// Flushes appended records to stable storage (stream flush here; fsync
-  /// in a file-backed deployment). Advances synced_lsn to last_lsn.
+  /// Flushes appended records to the stream (std::ostream::flush(); no
+  /// fsync, see the durable-WAL item in ROADMAP.md). Advances synced_lsn
+  /// to last_lsn.
   Status Sync();
 
   /// LSN of the most recent append (start_lsn - 1 when none yet).
   std::uint64_t last_lsn() const { return next_lsn_ - 1; }
-  /// Highest LSN known durable under the sync policy.
+  /// Highest LSN flushed to the stream under the sync policy.
   std::uint64_t synced_lsn() const { return synced_lsn_; }
   /// Total bytes this writer emitted (header + records).
   std::uint64_t bytes_written() const { return bytes_written_; }
